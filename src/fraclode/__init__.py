@@ -4,8 +4,8 @@ x(t0) = x0, alpha in (0, 1].
 The order is represented as an odd-over-odd rational (2p+1)/(2q+1), which
 keeps the solution E_alpha(A (t-t0)^alpha) x0 real through odd roots of
 negative eigenvalues.  Two numerical backends (rectangle rule and
-regularized adaptive Simpson) share a solution formula built from
-sections of the exponential; a Mittag-Leffler series serves as the
+Gauss–Jacobi quadrature, named "simpson") share a solution formula built
+from sections of the exponential; a Mittag-Leffler series serves as the
 independent scalar oracle.
 """
 

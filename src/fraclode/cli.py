@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -59,6 +60,32 @@ def _require(spec: dict, field: str):
     return spec[field]
 
 
+def _number(value, field: str) -> float:
+    """A finite JSON number; null, booleans, strings and the rest are
+    schema errors naming `field`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(field, f"must be a number, got {json.dumps(value)}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise SchemaError(field, f"number {value} is out of floating range") from None
+    if not math.isfinite(x):
+        raise SchemaError(field, f"must be finite, got {value}")
+    return x
+
+
+def _numbers(value, field: str) -> list[float]:
+    """A JSON list of finite numbers, or one number standing for a list of one."""
+    return [_number(v, field) for v in (value if isinstance(value, list) else [value])]
+
+
+def _positive(value, field: str) -> float:
+    x = _number(value, field)
+    if x <= 0.0:
+        raise SchemaError(field, f"must be positive, got {value}")
+    return x
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -94,7 +121,7 @@ def _parse_grid(spec: dict, t0: float) -> np.ndarray:
         for key in ("start", "end", "step"):
             if key not in grid:
                 raise SchemaError("grid", f"missing '{key}' in grid object")
-        start, end, step = (float(grid[k]) for k in ("start", "end", "step"))
+        start, end, step = (_number(grid[k], "grid") for k in ("start", "end", "step"))
         if step <= 0.0 or end < start:
             raise SchemaError("grid", "need step > 0 and end >= start")
         count = int(round((end - start) / step)) + 1
@@ -102,7 +129,7 @@ def _parse_grid(spec: dict, t0: float) -> np.ndarray:
     elif isinstance(grid, list):
         if not grid:
             raise SchemaError("grid", "explicit time list must be nonempty")
-        times = np.asarray(grid, dtype=float)
+        times = np.array(_numbers(grid, "grid"))
     else:
         raise SchemaError("grid", "must be {start,end,step} or a list of times")
     if len(times) > 1 and np.min(np.diff(times)) <= 0.0:
@@ -134,14 +161,14 @@ def _parse_sum_range(name) -> SumRange:
 
 def _parse_problem(spec: dict):
     A = _parse_matrix(spec, "A")
-    x0 = np.asarray(_require(spec, "x0"), dtype=float).reshape(-1)
+    x0 = np.array(_numbers(_require(spec, "x0"), "x0"))
     if x0.shape[0] != A.shape[0]:
         raise SchemaError("x0", f"length {x0.shape[0]} does not match A dimension {A.shape[0]}")
-    t0 = float(spec.get("t0", 0.0))
-    alpha = float(_require(spec, "alpha"))
+    t0 = _number(spec.get("t0", 0.0), "t0")
+    alpha = _number(_require(spec, "alpha"), "alpha")
     if not (0.0 < alpha <= 1.0):
         raise SchemaError("alpha", f"must lie in (0, 1], got {alpha}")
-    tol = float(spec.get("tol", DEFAULT_TOL))
+    tol = _positive(spec.get("tol", DEFAULT_TOL), "tol")
     try:
         order = approximate_order(alpha, tol=tol, q_max=DEFAULT_Q_MAX)
     except FraclodeError as exc:
@@ -150,7 +177,7 @@ def _parse_problem(spec: dict):
     config = SolveConfig(
         grid=times,
         quadrature=_parse_method(spec.get("method")),
-        simpson_tol=float(spec.get("simpson_tol", DEFAULT_SIMPSON_TOL)),
+        simpson_tol=_positive(spec.get("simpson_tol", DEFAULT_SIMPSON_TOL), "simpson_tol"),
         sum_range=_parse_sum_range(spec.get("sum_range")),
     )
     problem = CauchyProblem(A=A, x0=x0, t0=t0, order=order)
@@ -163,7 +190,7 @@ def _parse_problem(spec: dict):
             raise SchemaError("B", "required when eps_ladder is given")
         if B.shape != A.shape:
             raise SchemaError("B", f"shape {B.shape} does not match A shape {A.shape}")
-        eps_ladder = [float(e) for e in eps_ladder]
+        eps_ladder = _numbers(eps_ladder, "eps_ladder")
     return problem, config, eps_ladder, B
 
 
@@ -203,18 +230,18 @@ def cmd_solve(args) -> int:
 def cmd_table(args) -> int:
     _banner(args)
     spec = _load_json(args.config)
-    a = float(_require(spec, "a"))
+    a = _number(_require(spec, "a"), "a")
     alphas = _require(spec, "alphas")
     if not isinstance(alphas, list) or not alphas:
         raise SchemaError("alphas", "must be a nonempty list")
-    alphas = [float(x) for x in alphas]
+    alphas = _numbers(alphas, "alphas")
     if any(not (0.0 < x <= 1.0) for x in alphas):
         raise SchemaError("alphas", "entries must lie in (0, 1]")
     interval = _require(spec, "interval")
     if not (isinstance(interval, list) and len(interval) == 2):
         raise SchemaError("interval", "must be [start, end]")
-    start, end = float(interval[0]), float(interval[1])
-    h = float(args.h if args.h is not None else _require(spec, "h"))
+    start, end = _numbers(interval, "interval")
+    h = args.h if args.h is not None else _number(_require(spec, "h"), "h")
     if h <= 0.0 or end <= start:
         raise SchemaError("h", "need h > 0 and end > start")
     method = _parse_method(args.method if args.method is not None

@@ -55,7 +55,8 @@ class OrderDomainError(FraclodeError):
 
 
 class QuadratureFailureError(FraclodeError):
-    """Adaptive quadrature exceeded its refinement depth bound."""
+    """Quadrature did not reach its tolerance within its refinement bound
+    (adaptive Simpson depth, or the Gauss–Jacobi node cap)."""
 
 
 class NonUniformGridError(FraclodeError):

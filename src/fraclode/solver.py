@@ -22,19 +22,25 @@ Two numerical backends share this structure:
   weakly singular integrals on a uniform grid -- kept exactly as
   formulated so the scheme itself is testable, slow O(h^(1/n))
   convergence and all.
-* Simpson: each integral is first regularized by the exact substitution
-  d = u v^(n/k), after which the integrand is smooth on [0, 1] and
-  adaptive Simpson applies.
+* Simpson (the name of an earlier adaptive Simpson rule, kept for the
+  API and the CLI): the substitution d = u s turns each integral into
+  u^(k/n) int_0^1 s^(k/n - 1) H_{m,j}(r u (1 - s)) ds, whose integrand
+  is entire in s, and Gauss–Jacobi rules for the weight s^(k/n - 1) of
+  16, 32, ..., 256 nodes are applied until two successive ones agree.
 
 For q = 0 (alpha = 1) every backend degenerates to the classical matrix
 exponential.  `scalar_closed_form` is the oracle: the Mittag-Leffler
 series of y0 E_alpha(lambda u^alpha), checked against 50-digit mpmath
-values in tests/fixtures/closed_form_reference.json.
+values in tests/fixtures/closed_form_reference.json.  Where that series
+cancels (z = lambda u^alpha below about -2.25 at alpha = 1/3) it raises
+NonConvergenceError rather than return a wrong value.
 
 For lambda < 0 and p > 0 the sections grow like e^(|r| u cos(pi/m)) while
 the solution decays, so the attainable absolute accuracy is about
-1e-16 e^(|r| u).  Zero eigenvalues raise ZeroEigenvalueError and grids
-must start strictly after t0; both are kept API contracts.
+1e-16 e^(|r| u); once that noise exceeds simpson_tol times the scale,
+the Simpson backend raises QuadratureFailureError (lambda = -5 at
+alpha = 3/7, |r| u = 43).  Zero eigenvalues raise ZeroEigenvalueError
+and grids must start strictly after t0; both are kept API contracts.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from .errors import (
     NonConvergenceError,
     NonUniformGridError,
     OverflowError_,
+    QuadratureFailureError,
     ZeroEigenvalueError,
 )
 from .linalg import (
@@ -60,13 +67,18 @@ from .linalg import (
     max_abs,
     perturb_to_simple,
 )
-from .quadrature import adaptive_simpson
+from .quadrature import gauss_jacobi
 from .rational_order import FractionalOrder
 from .specfun import MLParams, exp_section, gfact, mittag_leffler, rpow
 
 DEFAULT_SIMPSON_TOL = 1e-10
 #: Convolution terms bounded below TERM_TOL * e^(|r| u_max) are dropped.
 TERM_TOL = 1e-17
+#: Gauss–Jacobi node counts of the Simpson backend: GJ_MIN_NODES, doubled
+#: up to GJ_MAX_NODES; at most GJ_BLOCK_ELEMENTS (time, node) pairs at once.
+GJ_MIN_NODES = 16
+GJ_MAX_NODES = 256
+GJ_BLOCK_ELEMENTS = 2 ** 16
 
 
 class Quadrature(Enum):
@@ -119,6 +131,9 @@ class SolveConfig:
 
     grid: np.ndarray
     quadrature: Quadrature = Quadrature.RECTANGLE
+    #: Simpson backend: successive Gauss–Jacobi rules must agree to this,
+    #: in max-abs over the grid, on each integral divided by its bound
+    #: e^(growth |r| u) and multiplied by k/n (see _jacobi_integral).
     simpson_tol: float = DEFAULT_SIMPSON_TOL
     sum_range: SumRange = SumRange.FROM_ZERO
 
@@ -261,20 +276,51 @@ def solve_scalar_rect(lam: float, y0: float, order: FractionalOrder, t0: float,
     return Trajectory(times=times, states=(y0 * y)[:, None])
 
 
+def _jacobi_integral(r: float, u: np.ndarray, m: int, j: int, a: float,
+                     scale: np.ndarray, tol: float) -> np.ndarray:
+    """I(u) = int_0^1 s^(a-1) H_{m,j}(r u (1 - s)) ds at every u.
+
+    Gauss–Jacobi rules of GJ_MIN_NODES, twice as many, ... nodes are
+    applied until two successive ones agree: max |a (I_2N - I_N)| / scale
+    <= tol.  With the factor a, tol bounds the error of
+    int_0^1 H_{m,j}(r u (1 - v^(1/a))) dv / scale, v = s^a, a per-term
+    integral of size at most 1.  Past GJ_MAX_NODES it raises
+    QuadratureFailureError.  Times go through exp_section in
+    blocks of at most GJ_BLOCK_ELEMENTS (time, node) pairs.
+    """
+    prev = None
+    n_nodes = GJ_MIN_NODES
+    while n_nodes <= GJ_MAX_NODES:
+        s, w = gauss_jacobi(a, n_nodes)
+        step = max(1, GJ_BLOCK_ELEMENTS // n_nodes)
+        cur = np.concatenate([exp_section(np.outer(r * u[i:i + step], 1.0 - s), m, j) @ w
+                              for i in range(0, len(u), step)])
+        if prev is not None and a * np.max(np.abs(cur - prev) / scale) <= tol:
+            return cur
+        prev = cur
+        n_nodes *= 2
+    raise QuadratureFailureError(
+        f"Gauss–Jacobi rules did not settle to {tol:g} within {GJ_MAX_NODES} nodes "
+        f"(a = {a:.6g}, section ({m}, {j}), |r| u = {abs(r) * float(u[-1]):.3g})"
+    )
+
+
 def solve_scalar_quad(lam: float, y0: float, order: FractionalOrder, t0: float,
                       times, simpson_tol: float = DEFAULT_SIMPSON_TOL,
                       sum_range: SumRange = SumRange.FROM_ZERO) -> Trajectory:
-    """Scalar solution with regularized integrals and adaptive Simpson.
+    """Scalar solution with each integral by Gauss–Jacobi quadrature.
 
-    The substitution d = u v^(1/a) removes the singular endpoint exactly:
+    The substitution d = u s moves the weak singularity into the weight:
 
         int_0^u d^(a-1) H_{m,j}(r (u-d)) dd
-            = (u^a / a) * int_0^1 H_{m,j}(r u (1 - v^(1/a))) dv,
+            = u^a * int_0^1 s^(a-1) H_{m,j}(r u (1 - s)) ds.
 
-    so one vector-valued Simpson call per term covers every grid point.
-    Along the path from r u to 0, |H_{m,j}| <= e^(growth |r| u) with
-    growth = 1 for r > 0 and max(0, cos(pi/m)) for r < 0; integrands are
-    divided by that bound, which makes simpson_tol relative to their scale.
+    What is left, H_{m,j}(r u (1 - s)), is entire in s, so Gauss–Jacobi
+    rules for the weight s^(a-1) converge spectrally; each rule costs one
+    exp_section call on a (times x nodes) array.  Along the path from r u
+    to 0, |H_{m,j}| <= e^(growth |r| u) with growth = 1 for r > 0 and
+    max(0, cos(pi/m)) for r < 0; integrals are divided by that bound,
+    which makes simpson_tol relative to their scale (see _jacobi_integral).
     """
     if simpson_tol <= 0.0:
         raise DomainError(f"simpson_tol must be positive, got {simpson_tol}")
@@ -285,12 +331,8 @@ def solve_scalar_quad(lam: float, y0: float, order: FractionalOrder, t0: float,
     growth = 1.0 if r > 0.0 else max(0.0, math.cos(math.pi / m))
     scale = np.exp(growth * abs(r) * u)
     for term in terms:
-        inv_a, j = 1.0 / term.a, term.j
-        integral = adaptive_simpson(
-            lambda v: exp_section(r * u * (1.0 - v ** inv_a), m, j) / scale,
-            0.0, 1.0, simpson_tol,
-        )
-        y = y + term.coef * u ** term.a / term.a * scale * integral
+        integral = _jacobi_integral(r, u, m, term.j, term.a, scale, simpson_tol)
+        y = y + term.coef * u ** term.a * integral
     return Trajectory(times=times, states=(y0 * y)[:, None])
 
 

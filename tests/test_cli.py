@@ -74,6 +74,27 @@ def test_solve_schema_error_names_field(tmp_path):
     assert "'A'" in result.stderr
 
 
+@pytest.mark.parametrize("field", ["x0", "alpha", "t0", "tol", "simpson_tol"])
+@pytest.mark.parametrize("value", [None, "abc", True, [None], float("nan")])
+def test_solve_non_numeric_field_is_schema_error(tmp_path, capsys, field, value):
+    # In-process, so an escaping ValueError or TypeError fails the test
+    # with its traceback instead of being read as some exit code.
+    from fraclode.cli import main
+
+    spec = write_spec(tmp_path, "p.json", dict(BASIC_SPEC, method="simpson", **{field: value}))
+    assert main(["solve", "--config", spec, "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["tol", "simpson_tol"])
+def test_solve_nonpositive_tolerance_is_schema_error(tmp_path, capsys, field):
+    from fraclode.cli import main
+
+    spec = write_spec(tmp_path, "p.json", dict(BASIC_SPEC, **{field: 0.0}))
+    assert main(["solve", "--config", spec, "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
 def test_solve_bad_method_is_schema_error(tmp_path):
     spec = write_spec(tmp_path, "p.json", dict(BASIC_SPEC, method="trapezoid"))
     result = run_cli("solve", "--config", spec, "--out", str(tmp_path / "o.csv"))

@@ -9,6 +9,7 @@ from fraclode import (
     ClusteredSpectrumError,
     ComplexSpectrumError,
     DomainError,
+    OverflowError_,
     SingularMatrixError,
     ZeroEigenvalueError,
     eig_real_simple,
@@ -98,6 +99,36 @@ def test_expm_spot_cases():
     assert max_abs(expm([[0.0, 1.0], [0.0, 0.0]]) - [[1.0, 1.0], [0.0, 1.0]]) <= 1e-14
     got = expm(np.diag([1.0, -2.0]))
     assert max_abs(got - np.diag([math.e, math.exp(-2.0)])) <= 1e-12
+
+
+def test_expm_zero_matrix_is_exact_identity():
+    for n in (1, 2, 5):
+        assert np.array_equal(expm(np.zeros((n, n))), np.eye(n))
+
+
+@pytest.mark.parametrize("w", [1e-3, 0.5, 3.0, 40.0])
+def test_expm_rotation_generator(w):
+    # exp([[0, w], [-w, 0]]) is a rotation; w = 40 needs scaling and squaring.
+    got = expm([[0.0, w], [-w, 0.0]])
+    c, s = math.cos(w), math.sin(w)
+    assert max_abs(got - np.array([[c, s], [-s, c]])) <= 1e-13 * max(1.0, w)
+
+
+def test_expm_non_normal_against_eigendecomposition():
+    # A = S diag(lam) S^-1 with cond(S) ~ 50 and 1-norm ~ 30.
+    rng = np.random.default_rng(3)
+    U, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    V, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    S = U @ np.diag(np.geomspace(1.0, 50.0, 6)) @ V.T
+    lam = np.array([-3.0, -1.5, -0.2, 0.4, 1.1, 2.5])
+    A = S @ np.diag(lam) @ np.linalg.inv(S)
+    ref = S @ np.diag(np.exp(lam)) @ np.linalg.inv(S)
+    assert max_abs(expm(A) - ref) <= 1e-12 * max_abs(ref)
+
+
+def test_expm_overflow_is_reported():
+    with pytest.raises(OverflowError_):
+        expm([[800.0]])
 
 
 def test_expm_semigroup():

@@ -1,12 +1,59 @@
-"""Tests for the adaptive Simpson integrator."""
+"""Tests for the Gauss–Jacobi rules and the adaptive Simpson integrator."""
 
 import math
 
 import numpy as np
 import pytest
 
-from fraclode.errors import QuadratureFailureError
-from fraclode.quadrature import adaptive_simpson
+from fraclode.errors import DomainError, QuadratureFailureError
+from fraclode.quadrature import adaptive_simpson, gauss_jacobi
+
+JACOBI_EXPONENTS = [1 / 3, 3 / 7, 1 / 2003]
+
+
+@pytest.mark.parametrize("a", JACOBI_EXPONENTS)
+@pytest.mark.parametrize("n_nodes", [1, 3, 16, 64, 128])
+def test_gauss_jacobi_exact_for_polynomials(a, n_nodes):
+    # int_0^1 s^(a-1) s^k ds = 1/(a+k), exact for k <= 2N-1.
+    s, w = gauss_jacobi(a, n_nodes)
+    for k in range(2 * n_nodes):
+        got = math.fsum(w * s**k)
+        assert abs(got - 1.0 / (a + k)) <= 1e-13 / (a + k), (k, got)
+
+
+@pytest.mark.parametrize("a", JACOBI_EXPONENTS)
+@pytest.mark.parametrize("n_nodes", [1, 16, 256])
+def test_gauss_jacobi_nodes_and_weights(a, n_nodes):
+    s, w = gauss_jacobi(a, n_nodes)
+    assert s.shape == w.shape == (n_nodes,)
+    assert np.all(s > 0.0) and np.all(s < 1.0)
+    assert np.all(np.diff(s) > 0.0)
+    assert np.all(w > 0.0)
+    assert math.fsum(w) == pytest.approx(1.0 / a, rel=1e-14)
+
+
+def test_gauss_jacobi_singular_weight_integrand():
+    # int_0^1 s^(-2/3) e^s ds = 3 * sum_k 1 / (k! (3k+1)), a spectrally
+    # convergent case that a rule without the weight would struggle with.
+    s, w = gauss_jacobi(1 / 3, 16)
+    exact = 3.0 * math.fsum(1.0 / (math.factorial(k) * (3 * k + 1)) for k in range(30))
+    assert float(w @ np.exp(s)) == pytest.approx(exact, rel=1e-15)
+
+
+def test_gauss_jacobi_cached_arrays_are_read_only():
+    s, w = gauss_jacobi(0.5, 8)
+    assert gauss_jacobi(0.5, 8)[0] is s
+    with pytest.raises(ValueError):
+        s[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+def test_gauss_jacobi_validation():
+    with pytest.raises(DomainError):
+        gauss_jacobi(0.0, 4)
+    with pytest.raises(DomainError):
+        gauss_jacobi(0.5, 0)
 
 
 def test_cubic_is_exact():

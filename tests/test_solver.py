@@ -5,6 +5,7 @@ and the eps-perturbation ladder."""
 import json
 import math
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fraclode import (
     NonConvergenceError,
     NonUniformGridError,
     Quadrature,
+    QuadratureFailureError,
     SolveConfig,
     SumRange,
     ZeroEigenvalueError,
@@ -154,6 +156,54 @@ def test_quad_matches_frozen_values():
             case["lam"], case["y0"], order, case["t0"], [case["t"]]
         ).values[0]
         assert got == pytest.approx(case["value"], rel=1e-7)
+
+
+def test_quad_matches_frozen_values_tight():
+    # The Gauss–Jacobi rules settle far below simpson_tol: the fixture's
+    # 50-digit values hold to 1e-12 relative, not just the 1e-7 above.
+    from fraclode.rational_order import FractionalOrder
+
+    for case in FIXTURE["closed_form_cases"]:
+        order = FractionalOrder(
+            alpha=(2 * case["p"] + 1) / (2 * case["q"] + 1),
+            p=case["p"],
+            q=case["q"],
+            achieved_error=0.0,
+        )
+        got = solve_scalar_quad(
+            case["lam"], case["y0"], order, case["t0"], [case["t"]]
+        ).values[0]
+        assert got == pytest.approx(float(case["value"]), rel=1e-12)
+
+
+def test_quad_stiff_cancelling_rung_fails_fast():
+    # lam = -5, alpha = 3/7: |r| u reaches 43 and the sections cancel to
+    # ~e^21 * 1e-16 relative to their scale, so no rule can settle to
+    # simpson_tol.  The node count is capped: the error comes at once.
+    # The first call also builds and caches the rules (a 256 x 256 eigh,
+    # which a multithreaded BLAS can stall on a busy machine); the timed
+    # second call is the solve itself.
+    grid = _grid(0.01, 1.01)
+    for _ in range(2):
+        start = time.perf_counter()
+        with pytest.raises(QuadratureFailureError):
+            solve_scalar_quad(-5.0, 1.0, ORDER_37, 0.0, grid)
+    assert time.perf_counter() - start < 0.2
+
+
+def test_quad_stiff_decaying_rung_without_cancellation():
+    # lam = -5, alpha = 1/3: H_{1,0} = exp does not cancel; the rules only
+    # need more nodes for the boundary layer of width 1/(125 u) near s = 1.
+    # The float series oracle cancels here (z down to -5), so the reference
+    # is E_{1/3}(z) summed by mpmath at 100 digits.
+    mpmath = pytest.importorskip("mpmath")
+    grid = [0.05, 0.5, 1.0]
+    got = solve_scalar_quad(-5.0, 1.0, ORDER_13, 0.0, grid).values
+    with mpmath.workdps(100):
+        ref = [float(mpmath.nsum(lambda k: (-5 * mpmath.cbrt(u)) ** k
+                                 / mpmath.gamma(k / mpmath.mpf(3) + 1), [0, mpmath.inf]))
+               for u in grid]
+    assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_quad_near_one_order_decays_toward_exponential():

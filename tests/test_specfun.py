@@ -185,6 +185,22 @@ def test_ml_domain_and_budget_errors():
         mittag_leffler(MLParams(alpha=0.5, max_terms=3), 5.0)
 
 
+@pytest.mark.parametrize("alpha, z", [(1 / 3, -4.0), (3 / 7, -5.0)])
+def test_ml_cancelling_series_raises(alpha, z):
+    # The alternating series cancels: the true values are 0.162 and 0.121,
+    # the float sum gave -1.8e12 and 2734.  The rounding bound catches it.
+    with pytest.raises(NonConvergenceError, match="cancels"):
+        mittag_leffler(MLParams(alpha=alpha), z)
+
+
+def test_ml_negative_arguments_inside_the_rounding_bound():
+    # E_{1/2}(-z) = exp(z^2) erfc(z) where the rounding bound still admits z.
+    params = MLParams(alpha=0.5)
+    for z in (0.5, 1.0, 2.0, 3.0):
+        expected = math.exp(z * z) * math.erfc(z)
+        assert mittag_leffler(params, -z) == pytest.approx(expected, abs=1e-10)
+
+
 def test_ml_slowly_converging_small_order():
     # Very small series parameter: tens of thousands of terms before the
     # gamma in the denominator takes over; must still converge.
