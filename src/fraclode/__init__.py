@@ -49,7 +49,6 @@ from .solver import (
     CauchyProblem,
     Quadrature,
     SolveConfig,
-    SumRange,
     Trajectory,
     classical_exponential,
     scalar_closed_form,
@@ -86,7 +85,6 @@ __all__ = [
     "SpectralDecomposition",
     "StabilityVerdict",
     "StudyRow",
-    "SumRange",
     "Trajectory",
     "Verdict",
     "ZeroEigenvalueError",

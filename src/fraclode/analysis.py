@@ -16,7 +16,6 @@ from .rational_order import approximate_order, DEFAULT_TOL, DEFAULT_Q_MAX
 from .solver import (
     DEFAULT_SIMPSON_TOL,
     Quadrature,
-    SumRange,
     Trajectory,
     solve_scalar_quad,
     solve_scalar_rect,
@@ -179,7 +178,6 @@ def convergence_study(a: float, alphas, t0: float, t_end: float, h: float,
                       order_tol: float = DEFAULT_TOL,
                       q_max: int = DEFAULT_Q_MAX,
                       simpson_tol: float = DEFAULT_SIMPSON_TOL,
-                      sum_range: SumRange = SumRange.FROM_ZERO,
                       skip: int = 1) -> list[StudyRow]:
     """Solve D^alpha x = a x over the alpha ladder; per alpha record the
     sup deviation from x0 e^{a (t-t0)} and the residual metric nev.
@@ -208,10 +206,9 @@ def convergence_study(a: float, alphas, t0: float, t_end: float, h: float,
     for alpha in alphas:
         order = approximate_order(alpha, tol=order_tol, q_max=q_max)
         if backend is Quadrature.RECTANGLE:
-            traj = solve_scalar_rect(a, x0, order, t0, grid, sum_range=sum_range)
+            traj = solve_scalar_rect(a, x0, order, t0, grid)
         else:
-            traj = solve_scalar_quad(a, x0, order, t0, grid,
-                                     simpson_tol=simpson_tol, sum_range=sum_range)
+            traj = solve_scalar_quad(a, x0, order, t0, grid, simpson_tol=simpson_tol)
         sup_dev = float(np.max(np.abs(traj.values - reference)))
         if order.q == 0:
             nev = residual_nev(traj, [[a]], order.value, skip=skip,

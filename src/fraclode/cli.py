@@ -29,7 +29,6 @@ from .solver import (
     CauchyProblem,
     Quadrature,
     SolveConfig,
-    SumRange,
     solve_limit_perturbation,
     solve_matrix,
 )
@@ -148,17 +147,6 @@ def _parse_method(name, field: str = "method") -> Quadrature:
         raise SchemaError(field, f"must be 'rectangle' or 'simpson', got {name!r}") from None
 
 
-def _parse_sum_range(name) -> SumRange:
-    if name is None:
-        return SumRange.FROM_ZERO
-    try:
-        return SumRange(name)
-    except ValueError:
-        raise SchemaError(
-            "sum_range", f"must be 'from_zero' or 'from_one', got {name!r}"
-        ) from None
-
-
 def _parse_problem(spec: dict):
     A = _parse_matrix(spec, "A")
     x0 = np.array(_numbers(_require(spec, "x0"), "x0"))
@@ -178,8 +166,9 @@ def _parse_problem(spec: dict):
         grid=times,
         quadrature=_parse_method(spec.get("method")),
         simpson_tol=_positive(spec.get("simpson_tol", DEFAULT_SIMPSON_TOL), "simpson_tol"),
-        sum_range=_parse_sum_range(spec.get("sum_range")),
     )
+    if spec.get("sum_range", "from_zero") != "from_zero":
+        raise SchemaError("sum_range", "only 'from_zero', the full sum, is supported")
     problem = CauchyProblem(A=A, x0=x0, t0=t0, order=order)
     eps_ladder = spec.get("eps_ladder")
     B = _parse_matrix(spec, "B", required=False)

@@ -16,7 +16,11 @@ x(t0) = x0.  A term whose bound |c_k| (n/k) u^(k/n) X^j e^X / j!
 (X = |r| u_max) is below TERM_TOL * e^X is dropped; near alpha = 1 this
 keeps a few dozen of the n - 1 terms.
 
-Two numerical backends share this structure:
+One evaluator, `_modes`, computes E_alpha(lambda_i u^alpha) from this
+formula for all eigenvalues lambda_i at once: the scalar solvers pass
+one eigenvalue, and `solve_matrix` passes the spectrum of A and
+recomposes with its eigenvectors.  Two numerical backends evaluate the
+integrals:
 
 * Rectangle: the literal left-endpoint Riemann discretization of the
   weakly singular integrals on a uniform grid -- kept exactly as
@@ -69,34 +73,22 @@ from .linalg import (
 )
 from .quadrature import gauss_jacobi
 from .rational_order import FractionalOrder
-from .specfun import MLParams, exp_section, gfact, mittag_leffler, rpow
+from .specfun import MLParams, exp_section, mittag_leffler
 
 DEFAULT_SIMPSON_TOL = 1e-10
 #: Convolution terms bounded below TERM_TOL * e^(|r| u_max) are dropped.
 TERM_TOL = 1e-17
 #: Gauss–Jacobi node counts of the Simpson backend: GJ_MIN_NODES, doubled
-#: up to GJ_MAX_NODES; at most GJ_BLOCK_ELEMENTS (time, node) pairs at once.
+#: up to GJ_MAX_NODES; at most GJ_BLOCK_ELEMENTS (time, eigenvalue, node)
+#: triples at once.
 GJ_MIN_NODES = 16
 GJ_MAX_NODES = 256
-GJ_BLOCK_ELEMENTS = 2 ** 16
+GJ_BLOCK_ELEMENTS = 2 ** 13
 
 
 class Quadrature(Enum):
     RECTANGLE = "rectangle"
     SIMPSON = "simpson"
-
-
-class SumRange(Enum):
-    """Which convolution terms besides the closer enter the sum.
-
-    Terms are indexed s = k - 1 = 0..n-2.  FROM_ZERO keeps them all (the
-    solution; default), FROM_ONE drops s = 0 (the truncated variant some
-    discretized displays of the formula show).  The closed-form oracle
-    confirms FROM_ZERO; FROM_ONE is retained for comparison experiments.
-    """
-
-    FROM_ZERO = "from_zero"
-    FROM_ONE = "from_one"
 
 
 @dataclass(frozen=True)
@@ -135,7 +127,6 @@ class SolveConfig:
     #: in max-abs over the grid, on each integral divided by its bound
     #: e^(growth |r| u) and multiplied by k/n (see _jacobi_integral).
     simpson_tol: float = DEFAULT_SIMPSON_TOL
-    sum_range: SumRange = SumRange.FROM_ZERO
 
     def __post_init__(self) -> None:
         self.grid = np.asarray(self.grid, dtype=float).reshape(-1)
@@ -206,10 +197,6 @@ def _rect_lattice(times: np.ndarray, t0: float) -> tuple[float, np.ndarray]:
     return h, k_int
 
 
-def _sum_start(sum_range: SumRange) -> int:
-    return 0 if sum_range is SumRange.FROM_ZERO else 1
-
-
 def _reduced(order: FractionalOrder) -> tuple[int, int]:
     """(m, n) = (2p+1, 2q+1) in lowest terms; the solution depends on alpha only."""
     m, n = 2 * order.p + 1, 2 * order.q + 1
@@ -219,121 +206,130 @@ def _reduced(order: FractionalOrder) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class _Term:
-    """One convolution term c * int_0^u d^(a-1) H_{m,j}(r (u-d)) dd."""
+    """One convolution term c_i * int_0^u d^(a-1) H_{m,j}(r_i (u-d)) dd."""
 
     a: float  # k/n
     j: int  # least j >= 0 with k + n*j = 0 (mod m)
-    coef: float  # lambda^(k/m) / Gamma(k/n)
+    coef: np.ndarray  # lambda_i^(k/m) / Gamma(k/n), one per eigenvalue
 
 
-def _scalar_terms(lam: float, order: FractionalOrder, u_max: float,
-                  sum_range: SumRange) -> tuple[int, float, list[_Term]]:
-    """Numerator m, closer rate r = lambda^(n/m) and the kept terms k = 1..n-1.
+def _terms(lams: np.ndarray, order: FractionalOrder,
+           u_max: float) -> tuple[int, np.ndarray, list[_Term]]:
+    """Numerator m, closer rates r_i = lambda_i^(n/m) and the kept terms
+    k = 1..n-1, each with one coefficient per eigenvalue.
 
-    A term is dropped when its bound |c| (n/k) u^(k/n) X^j e^X / j!,
-    X = |r| u_max, is below TERM_TOL * e^X.
+    A term is kept when, for some eigenvalue, its bound
+    |c| (n/k) u^(k/n) X^j e^X / j!, X = |r| u_max, is at least
+    TERM_TOL * e^X.
     """
-    if lam == 0.0:
+    if np.any(lams == 0.0):
         raise ZeroEigenvalueError("lambda = 0 is outside the solver's domain")
     m, n = _reduced(order)
-    r = rpow(lam, n, m)
-    log_x = math.log(abs(r) * u_max)
-    n_inv = pow(n, -1, m)
-    terms = []
-    for k in range(_sum_start(sum_range) + 1, n):
-        j = (-k * n_inv) % m
-        coef = rpow(lam, k, m) / gfact(k / n - 1.0)
-        log_bound = (math.log(abs(coef) * n / k) + (k / n) * math.log(u_max)
-                     + j * log_x - math.lgamma(j + 1))
-        if log_bound >= math.log(TERM_TOL):
-            terms.append(_Term(a=k / n, j=j, coef=coef))
-    return m, r, terms
+    sign, mag = np.where(lams < 0.0, -1.0, 1.0), np.abs(lams)
+    r = sign * mag ** (n / m)  # n is odd
+    k = np.arange(1, n)
+    a = k / n
+    j = (-k * pow(n, -1, m)) % m
+    log_gamma = np.array(list(map(math.lgamma, a.tolist())))  # log Gamma(k/n)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, m)))))  # log j!
+    log_bound = ((np.log(n / k) - log_gamma + a * math.log(u_max) - log_fact[j])[:, None]
+                 + np.outer(k / m, np.log(mag)) + np.outer(j, np.log(np.abs(r) * u_max)))
+    kept = np.flatnonzero(np.any(log_bound >= math.log(TERM_TOL), axis=1))
+    coef = sign ** k[kept, None] * mag ** (k[kept, None] / m) / np.exp(log_gamma[kept, None])
+    return m, r, [_Term(a=float(a[i]), j=int(j[i]), coef=c) for i, c in zip(kept, coef)]
 
 
-def solve_scalar_rect(lam: float, y0: float, order: FractionalOrder, t0: float,
-                      grid, sum_range: SumRange = SumRange.FROM_ZERO) -> Trajectory:
-    """Left-endpoint rectangle discretization of the scalar solution.
-
-    On the lattice u = k h each integral becomes
-    h * sum_{sigma=0}^{k-1} ((k - sigma) h)^(a-1) H_{m,j}(r sigma h).
-    For q = 0 there are no integrals and the result is exactly
-    y0 * exp(lambda (t-t0)).
-    """
-    times = _check_times(grid, t0)
-    u = times - t0
-    m, r, terms = _scalar_terms(lam, order, float(u[-1]), sum_range)
-    y = exp_section(r * u, m, 0)
-    if order.q > 0:
-        h, k_idx = _rect_lattice(times, t0)
-        k_max = int(k_idx[-1])
-        nodes = h * np.arange(k_max)  # t_sigma - t0, sigma = 0..k_max-1
-        dist = h * np.arange(1, k_max + 1)
-        for term in terms:
-            # full[k-1] = sum_{sigma=0}^{k-1} ((k-sigma) h)^(a-1) H(r sigma h)
-            full = np.convolve(exp_section(r * nodes, m, term.j),
-                               dist ** (term.a - 1.0))[:k_max]
-            y = y + term.coef * h * full[k_idx - 1]
-    return Trajectory(times=times, states=(y0 * y)[:, None])
-
-
-def _jacobi_integral(r: float, u: np.ndarray, m: int, j: int, a: float,
+def _jacobi_integral(ru: np.ndarray, m: int, j: int, a: float,
                      scale: np.ndarray, tol: float) -> np.ndarray:
-    """I(u) = int_0^1 s^(a-1) H_{m,j}(r u (1 - s)) ds at every u.
+    """I[k, i] = int_0^1 s^(a-1) H_{m,j}(ru[k, i] (1 - s)) ds, ru = r_i u_k.
 
     Gauss–Jacobi rules of GJ_MIN_NODES, twice as many, ... nodes are
     applied until two successive ones agree: max |a (I_2N - I_N)| / scale
     <= tol.  With the factor a, tol bounds the error of
     int_0^1 H_{m,j}(r u (1 - v^(1/a))) dv / scale, v = s^a, a per-term
     integral of size at most 1.  Past GJ_MAX_NODES it raises
-    QuadratureFailureError.  Times go through exp_section in
-    blocks of at most GJ_BLOCK_ELEMENTS (time, node) pairs.
+    QuadratureFailureError.  Times go through exp_section in blocks of
+    at most GJ_BLOCK_ELEMENTS (time, eigenvalue, node) triples.
     """
     prev = None
     n_nodes = GJ_MIN_NODES
     while n_nodes <= GJ_MAX_NODES:
         s, w = gauss_jacobi(a, n_nodes)
-        step = max(1, GJ_BLOCK_ELEMENTS // n_nodes)
-        cur = np.concatenate([exp_section(np.outer(r * u[i:i + step], 1.0 - s), m, j) @ w
-                              for i in range(0, len(u), step)])
+        step = max(1, GJ_BLOCK_ELEMENTS // (ru.shape[1] * n_nodes))
+        cur = np.concatenate([exp_section(ru[i:i + step, :, None] * (1.0 - s), m, j) @ w
+                              for i in range(0, len(ru), step)])
         if prev is not None and a * np.max(np.abs(cur - prev) / scale) <= tol:
             return cur
         prev = cur
         n_nodes *= 2
     raise QuadratureFailureError(
         f"Gauss–Jacobi rules did not settle to {tol:g} within {GJ_MAX_NODES} nodes "
-        f"(a = {a:.6g}, section ({m}, {j}), |r| u = {abs(r) * float(u[-1]):.3g})"
+        f"(a = {a:.6g}, section ({m}, {j}), |r| u = {np.max(np.abs(ru[-1])):.3g})"
     )
 
 
-def solve_scalar_quad(lam: float, y0: float, order: FractionalOrder, t0: float,
-                      times, simpson_tol: float = DEFAULT_SIMPSON_TOL,
-                      sum_range: SumRange = SumRange.FROM_ZERO) -> Trajectory:
-    """Scalar solution with each integral by Gauss–Jacobi quadrature.
+def _modes(lams, order: FractionalOrder, t0: float, times, quadrature: Quadrature,
+           simpson_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Checked times and Y[k, i] = E_alpha(lambda_i u_k^alpha), u = t - t0,
+    for every eigenvalue at once.
 
-    The substitution d = u s moves the weak singularity into the weight:
+    Rectangle: on the lattice u = k h each integral becomes
+    h * sum_{sigma=0}^{k-1} ((k - sigma) h)^(a-1) H_{m,j}(r sigma h).
+
+    Simpson: the substitution d = u s moves the weak singularity into
+    the weight,
 
         int_0^u d^(a-1) H_{m,j}(r (u-d)) dd
-            = u^a * int_0^1 s^(a-1) H_{m,j}(r u (1 - s)) ds.
+            = u^a * int_0^1 s^(a-1) H_{m,j}(r u (1 - s)) ds,
 
-    What is left, H_{m,j}(r u (1 - s)), is entire in s, so Gauss–Jacobi
-    rules for the weight s^(a-1) converge spectrally; each rule costs one
-    exp_section call on a (times x nodes) array.  Along the path from r u
-    to 0, |H_{m,j}| <= e^(growth |r| u) with growth = 1 for r > 0 and
+    and what is left is entire in s, so Gauss–Jacobi rules for the
+    weight s^(a-1) converge spectrally.  Along the path from r u to 0,
+    |H_{m,j}| <= e^(growth |r| u) with growth = 1 for r > 0 and
     max(0, cos(pi/m)) for r < 0; integrals are divided by that bound,
     which makes simpson_tol relative to their scale (see _jacobi_integral).
+
+    For q = 0 there are no integrals and Y = exp(lambda u) exactly.
     """
-    if simpson_tol <= 0.0:
+    if quadrature is Quadrature.SIMPSON and simpson_tol <= 0.0:
         raise DomainError(f"simpson_tol must be positive, got {simpson_tol}")
     times = _check_times(times, t0)
+    lams = np.asarray(lams, dtype=float)
     u = times - t0
-    m, r, terms = _scalar_terms(lam, order, float(u[-1]), sum_range)
-    y = exp_section(r * u, m, 0)
-    growth = 1.0 if r > 0.0 else max(0.0, math.cos(math.pi / m))
-    scale = np.exp(growth * abs(r) * u)
-    for term in terms:
-        integral = _jacobi_integral(r, u, m, term.j, term.a, scale, simpson_tol)
-        y = y + term.coef * u ** term.a * integral
-    return Trajectory(times=times, states=(y0 * y)[:, None])
+    m, r, terms = _terms(lams, order, float(u[-1]))
+    ru = np.outer(u, r)
+    Y = exp_section(ru, m, 0)
+    if quadrature is Quadrature.RECTANGLE and order.q > 0:
+        h, k_idx = _rect_lattice(times, t0)
+        k_max = int(k_idx[-1])
+        nodes = h * np.arange(k_max)  # t_sigma - t0, sigma = 0..k_max-1
+        dist = h * np.arange(1, k_max + 1)
+        for term in terms:
+            # full[k-1] = sum_{sigma=0}^{k-1} ((k-sigma) h)^(a-1) H(r sigma h)
+            kernel = dist ** (term.a - 1.0)
+            full = np.column_stack([np.convolve(col, kernel)[:k_max] for col in
+                                    exp_section(np.outer(nodes, r), m, term.j).T])
+            Y += term.coef * h * full[k_idx - 1]
+    elif quadrature is Quadrature.SIMPSON:
+        growth = np.where(r > 0.0, 1.0, max(0.0, math.cos(math.pi / m)))
+        scale = np.exp(np.outer(u, growth * np.abs(r)))
+        for term in terms:
+            integral = _jacobi_integral(ru, m, term.j, term.a, scale, simpson_tol)
+            Y += term.coef * u[:, None] ** term.a * integral
+    return times, Y
+
+
+def solve_scalar_rect(lam: float, y0: float, order: FractionalOrder, t0: float,
+                      grid) -> Trajectory:
+    """Left-endpoint rectangle discretization of the scalar solution (see _modes)."""
+    times, Y = _modes([lam], order, t0, grid, Quadrature.RECTANGLE, DEFAULT_SIMPSON_TOL)
+    return Trajectory(times=times, states=y0 * Y)
+
+
+def solve_scalar_quad(lam: float, y0: float, order: FractionalOrder, t0: float,
+                      times, simpson_tol: float = DEFAULT_SIMPSON_TOL) -> Trajectory:
+    """Scalar solution with each integral by Gauss–Jacobi quadrature (see _modes)."""
+    times, Y = _modes([lam], order, t0, times, Quadrature.SIMPSON, simpson_tol)
+    return Trajectory(times=times, states=y0 * Y)
 
 
 def scalar_closed_form(lam: float, y0: float, order: FractionalOrder, t0: float,
@@ -366,49 +362,30 @@ def classical_exponential(problem: CauchyProblem, times) -> Trajectory:
     return Trajectory(times=times, states=states)
 
 
-def _spectral_setup(problem: CauchyProblem):
-    dec = eig_real_simple(problem.A)
-    zero_tol = ZERO_EIG_TOL_SCALE * (1.0 + max_abs(problem.A))
-    if np.min(np.abs(dec.lambdas)) < zero_tol:
-        raise ZeroEigenvalueError(
-            "A has a (near-)zero eigenvalue, which is outside the solver's domain"
-        )
-    return dec
-
-
 def solve_matrix(problem: CauchyProblem, config: SolveConfig) -> Trajectory:
     """Matrix-form solution on the configured grid.
 
     For q = 0 it reduces to the classical exponential and places no
     spectral requirement on A.  For q > 0 the sections H_{m,j}(u M) and
     the powers A^(k/m) are spectral functions of A, so the solve requires
-    distinct real nonzero eigenvalues and goes through the
-    eigendecomposition (`solve_via_spectral`).
+    distinct real nonzero eigenvalues: with T^{-1} A T = diag(lambda),
+    x(t) = T diag(E_alpha(lambda_i u^alpha)) T^{-1} x0.
     """
     times = _check_times(config.grid, problem.t0)
     if problem.order.q == 0:
         return classical_exponential(problem, times)
-    return solve_via_spectral(problem, config)
+    dec = eig_real_simple(problem.A)
+    if np.min(np.abs(dec.lambdas)) < ZERO_EIG_TOL_SCALE * (1.0 + max_abs(problem.A)):
+        raise ZeroEigenvalueError(
+            "A has a (near-)zero eigenvalue, which is outside the solver's domain"
+        )
+    times, Y = _modes(dec.lambdas, problem.order, problem.t0, times, config.quadrature,
+                      config.simpson_tol)
+    return Trajectory(times=times, states=(Y * (dec.T_inv @ problem.x0)) @ dec.T.T)
 
 
-def solve_via_spectral(problem: CauchyProblem, config: SolveConfig) -> Trajectory:
-    """Decouple through T^{-1} A T = diag(lambda), solve scalars, recompose."""
-    times = _check_times(config.grid, problem.t0)
-    if problem.order.q == 0:
-        return classical_exponential(problem, times)
-    dec = _spectral_setup(problem)
-    y0 = dec.T_inv @ problem.x0
-    Y = np.empty((len(times), problem.n))
-    for i, lam in enumerate(dec.lambdas):
-        if config.quadrature is Quadrature.RECTANGLE:
-            traj = solve_scalar_rect(lam, y0[i], problem.order, problem.t0, times,
-                                     sum_range=config.sum_range)
-        else:
-            traj = solve_scalar_quad(lam, y0[i], problem.order, problem.t0, times,
-                                     simpson_tol=config.simpson_tol,
-                                     sum_range=config.sum_range)
-        Y[:, i] = traj.values
-    return Trajectory(times=times, states=Y @ dec.T.T)
+#: Alias of solve_matrix, kept for callers of the older name.
+solve_via_spectral = solve_matrix
 
 
 def solve_limit_perturbation(problem: CauchyProblem, B, eps_ladder,
@@ -431,7 +408,8 @@ def solve_limit_perturbation(problem: CauchyProblem, B, eps_ladder,
     trajs = []
     for eps in eps_ladder:
         A_eps = perturb_to_simple(problem.A, B, eps)
-        eig_real_simple(A_eps)  # raises ComplexSpectrum / ClusteredSpectrum
+        if problem.order.q == 0:  # solve_matrix decomposes only for q > 0
+            eig_real_simple(A_eps)  # raises ComplexSpectrum / ClusteredSpectrum
         rung = CauchyProblem(A=A_eps, x0=problem.x0, t0=problem.t0,
                              order=problem.order)
         trajs.append(solve_matrix(rung, config))

@@ -95,6 +95,24 @@ def test_solve_nonpositive_tolerance_is_schema_error(tmp_path, capsys, field):
     assert f"'{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["from_one", "FROM_ZERO", None, 0, ["from_zero"]])
+def test_solve_sum_range_other_than_full_is_schema_error(tmp_path, capsys, value):
+    from fraclode.cli import main
+
+    spec = write_spec(tmp_path, "p.json", dict(BASIC_SPEC, sum_range=value))
+    assert main(["solve", "--config", spec, "--out", str(tmp_path / "o.csv")]) == 2
+    assert "'sum_range'" in capsys.readouterr().err
+
+
+def test_solve_sum_range_from_zero_same_as_omitted(tmp_path):
+    plain = write_spec(tmp_path, "a.json", BASIC_SPEC)
+    full = write_spec(tmp_path, "b.json", dict(BASIC_SPEC, sum_range="from_zero"))
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli("solve", "--config", plain, "--out", str(out1)).returncode == 0
+    assert run_cli("solve", "--config", full, "--out", str(out2)).returncode == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 def test_solve_bad_method_is_schema_error(tmp_path):
     spec = write_spec(tmp_path, "p.json", dict(BASIC_SPEC, method="trapezoid"))
     result = run_cli("solve", "--config", spec, "--out", str(tmp_path / "o.csv"))

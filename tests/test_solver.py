@@ -19,7 +19,6 @@ from fraclode import (
     Quadrature,
     QuadratureFailureError,
     SolveConfig,
-    SumRange,
     ZeroEigenvalueError,
     approximate_order,
     classical_exponential,
@@ -30,6 +29,8 @@ from fraclode import (
     solve_scalar_rect,
     solve_via_spectral,
 )
+from fraclode.solver import TERM_TOL, _terms
+from fraclode.specfun import rpow
 
 FIXTURE = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "closed_form_reference.json").read_text()
@@ -266,18 +267,6 @@ def test_backends_agree_within_rectangle_error():
         assert gap <= 1.05 * rect_err
 
 
-def test_sum_range_from_one_drops_a_term():
-    grid = _grid(0.01, 0.5)
-    full = solve_scalar_quad(2.0, 1.0, ORDER_13, 0.0, grid).values
-    trunc = solve_scalar_quad(
-        2.0, 1.0, ORDER_13, 0.0, grid, sum_range=SumRange.FROM_ONE
-    ).values
-    oracle = scalar_closed_form(2.0, 1.0, ORDER_13, 0.0, grid).values
-    assert np.max(np.abs(full - trunc)) > 1e-3  # genuinely different
-    # The full sum is the one the closed form certifies.
-    assert np.max(np.abs(full - oracle)) < np.max(np.abs(trunc - oracle))
-
-
 # ------------------------------------------------------- matrix solve
 
 
@@ -355,6 +344,70 @@ def test_matrix_vs_spectral_cross_path_third_order():
         A, x0, lambda lam, y0: scalar_closed_form(lam, y0, ORDER_13, 0.0, grid))
     assert np.max(np.abs(solve_matrix(problem, config).states - ref)) <= 1e-8
     assert np.max(np.abs(solve_via_spectral(problem, config).states - ref)) <= 1e-8
+
+
+def test_batched_matrix_matches_scalar_recomposition():
+    # All 20 eigenvalues of a dense non-normal A = S diag(lam) S^-1 go
+    # through one batched evaluation; it must equal S times the solo
+    # per-eigenvalue scalar solves on both backends.
+    rng = np.random.default_rng(5)
+    n = 20
+    lams = np.array(sorted([s * (0.3 + 0.2 * i) for i in range(10) for s in (-1, 1)]))
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    S = U @ np.diag(np.geomspace(1.0, 10.0 ** rng.uniform(1.0, 2.0), n)) @ V.T
+    assert 10.0 <= np.linalg.cond(S) <= 100.0
+    x0 = rng.uniform(-1.0, 1.0, n)
+    y0 = np.linalg.solve(S, x0)
+    grid = _grid(0.01, 1.01)
+    for alpha in (1 / 3, 3 / 7, 199 / 203):
+        order = approximate_order(alpha, tol=1e-12, q_max=200)
+        problem = CauchyProblem(A=S @ np.diag(lams) @ np.linalg.inv(S), x0=x0, t0=0.0,
+                                order=order)
+        for quad, scalar in ((Quadrature.RECTANGLE, solve_scalar_rect),
+                             (Quadrature.SIMPSON, solve_scalar_quad)):
+            got = solve_matrix(problem, SolveConfig(grid=grid, quadrature=quad)).states
+            modes = np.stack([scalar(lam, c, order, 0.0, grid).values
+                              for lam, c in zip(lams, y0)], axis=1)
+            ref = modes @ S.T
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _reference_terms(lam, m, n, u_max):
+    """{k: (j, coef)} of the kept terms, by a plain loop over k = 1..n-1."""
+    r = rpow(lam, n, m)
+    n_inv = pow(n, -1, m)
+    kept = {}
+    for k in range(1, n):
+        j = (-k * n_inv) % m
+        coef = rpow(lam, k, m) / math.gamma(k / n)
+        log_bound = (math.log(abs(coef) * n / k) + (k / n) * math.log(u_max)
+                     + j * math.log(abs(r) * u_max) - math.lgamma(j + 1))
+        if log_bound >= math.log(TERM_TOL):
+            kept[k] = (j, coef)
+    return kept
+
+
+@pytest.mark.parametrize("m,n", [(1, 3), (3, 7), (1, 5), (5, 7), (199, 203),
+                                 (999, 1001), (1999, 2003), (1, 1)])
+def test_terms_keep_what_a_per_k_loop_keeps(m, n):
+    # One eigenvalue keeps exactly the loop's terms, with its coefficients;
+    # several keep the union of their sets.
+    from fraclode.rational_order import FractionalOrder
+
+    order = FractionalOrder(alpha=m / n, p=(m - 1) // 2, q=(n - 1) // 2,
+                            achieved_error=0.0)
+    lams = [s * v for v in (0.3, 2.0, 5.0, 10.0) for s in (-1.0, 1.0)]
+    for u_max in (0.01, 1.01, 10.0):
+        refs = [_reference_terms(lam, m, n, u_max) for lam in lams]
+        for lam, ref in zip(lams, refs):
+            got_m, r, terms = _terms(np.array([lam]), order, u_max)
+            assert got_m == m and r[0] == pytest.approx(rpow(lam, n, m), rel=1e-15)
+            assert {round(t.a * n): t.j for t in terms} == {k: j for k, (j, _) in ref.items()}
+            for t in terms:
+                assert t.coef[0] == pytest.approx(ref[round(t.a * n)][1], rel=1e-14)
+        _, _, terms = _terms(np.array(lams), order, u_max)
+        assert {round(t.a * n) for t in terms} == set().union(*refs)
 
 
 def test_linearity_in_x0():
