@@ -41,6 +41,8 @@ EXIT_UNSTABLE = 4
 EXIT_INCONCLUSIVE = 5
 
 DEFAULT_SKIP = 1
+#: Most points a grid object may ask for; checked before any allocation.
+MAX_GRID_POINTS = 10 ** 6
 
 
 class SchemaError(Exception):
@@ -123,8 +125,11 @@ def _parse_grid(spec: dict, t0: float) -> np.ndarray:
         start, end, step = (_number(grid[k], "grid") for k in ("start", "end", "step"))
         if step <= 0.0 or end < start:
             raise SchemaError("grid", "need step > 0 and end >= start")
-        count = int(round((end - start) / step)) + 1
-        times = start + step * np.arange(count)
+        steps = (end - start) / step  # may be inf
+        if steps > MAX_GRID_POINTS - 1:
+            raise SchemaError("grid", f"asks for {steps + 1:.3g} points, more than "
+                                      f"the limit of {MAX_GRID_POINTS}")
+        times = start + step * np.arange(round(steps) + 1)
     elif isinstance(grid, list):
         if not grid:
             raise SchemaError("grid", "explicit time list must be nonempty")
@@ -233,6 +238,8 @@ def cmd_table(args) -> int:
     h = args.h if args.h is not None else _number(_require(spec, "h"), "h")
     if h <= 0.0 or end <= start:
         raise SchemaError("h", "need h > 0 and end > start")
+    if (end - start) / h > MAX_GRID_POINTS - 1:
+        raise SchemaError("h", f"the study grid would exceed {MAX_GRID_POINTS} points")
     method = _parse_method(args.method if args.method is not None
                            else spec.get("method"))
     # x(t0) is given one step before the first reported point.
@@ -276,7 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--verbose", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_table = sub.add_parser("table", help="alpha-ladder convergence study")
+    p_table = sub.add_parser(
+        "table", help="alpha-ladder convergence study",
+        description="Solve D^alpha x = a x for each alpha of the case and write "
+                    "alpha,sup_dev,nev.  Each alpha is approximated by (2p+1)/(2q+1) "
+                    f"to the default order tolerance {DEFAULT_TOL:g}, so a row "
+                    "labelled 1999/2003 is solved at 999/1001.  For alpha < 1 nev is "
+                    "the Caputo residual, Grunwald-Letnikov differences of x - x0 "
+                    "from t0 = start - h; the library's residual_nev instead takes "
+                    "the first sample as the lower terminal.")
     p_table.add_argument("--config", required=True, help="JSON case spec")
     p_table.add_argument("--out", required=True, help="output CSV path")
     p_table.add_argument("--method", choices=["rectangle", "simpson"],

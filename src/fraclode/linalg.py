@@ -150,18 +150,24 @@ def expm(A) -> np.ndarray:
     """Matrix exponential by [13/13] Pade scaling and squaring (Higham 2005).
 
     Works for arbitrary real square matrices; no diagonalizability needed.
-    A is scaled by 2^-s so that its 1-norm is at most THETA13, the
-    approximant r(B) = (V - U)^-1 (V + U) is formed, and squared s times.
-    The zero matrix gives the identity exactly.
+    A is one (n, n) matrix or a (..., n, n) stack; each matrix is scaled by
+    its own 2^-s so that its 1-norm is at most THETA13, the approximant
+    r(B) = (V - U)^-1 (V + U) is formed, and squared s times.  Zero
+    matrices give the identity exactly.
     """
-    A = as_matrix(A)
-    n = A.shape[0]
+    A = np.asarray(A, dtype=float)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise DomainError(f"expected a square matrix or a stack of them, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise DomainError("matrix entries must be finite")
+    if A.ndim == 2:
+        return expm(A[None])[0]
+    n = A.shape[-1]
     ident = np.eye(n)
-    norm = float(np.max(np.sum(np.abs(A), axis=0))) if n else 0.0
-    if norm == 0.0:
-        return ident
-    s = max(0, int(np.ceil(np.log2(norm / THETA13))))
-    B = np.ldexp(A, -s)
+    norm = np.max(np.sum(np.abs(A), axis=-2), axis=-1, initial=0.0)
+    with np.errstate(divide="ignore"):
+        s = np.maximum(0, np.ceil(np.log2(norm / THETA13))).astype(int)
+    B = np.ldexp(A, -s[..., None, None])
     b = PADE13
     B2 = B @ B
     B4 = B2 @ B2
@@ -172,8 +178,10 @@ def expm(A) -> np.ndarray:
          + b[6] * B6 + b[4] * B4 + b[2] * B2 + b[0] * ident)
     with np.errstate(over="ignore", invalid="ignore"):
         E = np.linalg.solve(V - U, V + U)
-        for _ in range(s):
-            E = E @ E
+        for i in range(int(np.max(s, initial=0))):
+            more = s > i
+            E[more] = E[more] @ E[more]
+    E[norm == 0.0] = ident
     if not np.isfinite(E).all():
         raise OverflowError_("matrix exponential overflowed floating range")
     return E

@@ -120,6 +120,46 @@ def test_solve_bad_method_is_schema_error(tmp_path):
     assert "method" in result.stderr
 
 
+@pytest.mark.parametrize("grid", [
+    {"start": 0.01, "end": 1000.0, "step": 1e-8},  # 1e11 points
+    {"start": 1e-300, "end": 1e308, "step": 1e-300},  # a count beyond float range
+])
+def test_solve_grid_over_point_limit_is_schema_error(tmp_path, capsys, grid):
+    from fraclode.cli import main
+
+    spec = write_spec(tmp_path, "p.json", dict(BASIC_SPEC, grid=grid))
+    assert main(["solve", "--config", spec, "--out", str(tmp_path / "o.csv")]) == 2
+    assert "'grid'" in capsys.readouterr().err
+
+
+def test_solve_rect_lattice_over_limit_is_solver_error(tmp_path, capsys):
+    from fraclode.cli import main
+
+    # Three points, but the rectangle lattice t0 + k h, h = 5e-7, reaches k = 2e9.
+    payload = dict(BASIC_SPEC, grid=[5e-7, 1e-6, 1000.0], method="rectangle")
+    spec = write_spec(tmp_path, "p.json", payload)
+    assert main(["solve", "--config", spec, "--out", str(tmp_path / "o.csv")]) == 3
+    assert "DomainError" in capsys.readouterr().err
+
+
+def test_table_grid_over_point_limit_is_schema_error(tmp_path, capsys):
+    from fraclode.cli import main
+
+    payload = {"a": -2.0, "alphas": [1 / 3], "interval": [0.0, 1000.0], "h": 1e-9}
+    spec = write_spec(tmp_path, "case.json", payload)
+    assert main(["table", "--config", spec, "--out", str(tmp_path / "t.csv")]) == 2
+    assert "'h'" in capsys.readouterr().err
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    # The rectangle backend reaches numpy.fft at call time, so importing
+    # fraclode does not pay for loading it.
+    code = "import sys, fraclode; print('numpy.fft' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def test_solve_singular_matrix_is_solver_error(tmp_path):
     payload = dict(BASIC_SPEC, A=[[0.0, 0.0], [0.0, 1.0]], x0=[1.0, 1.0])
     spec = write_spec(tmp_path, "p.json", payload)

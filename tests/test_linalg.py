@@ -18,7 +18,7 @@ from fraclode import (
     inverse,
     perturb_to_simple,
 )
-from fraclode.linalg import as_matrix, max_abs
+from fraclode.linalg import THETA13, as_matrix, max_abs
 
 
 def _random_simple(rng, n):
@@ -104,6 +104,34 @@ def test_expm_spot_cases():
 def test_expm_zero_matrix_is_exact_identity():
     for n in (1, 2, 5):
         assert np.array_equal(expm(np.zeros((n, n))), np.eye(n))
+
+
+def test_expm_stack_matches_per_matrix_calls():
+    # The 1-norms need squaring counts from 0 to several, one per matrix.
+    rng = np.random.default_rng(3)
+    base = rng.standard_normal((4, 4))
+    scales = [1e-3, 0.5, 3.0, 40.0, 150.0]
+    stack = np.array([c * base for c in scales])
+    norms = np.max(np.sum(np.abs(stack), axis=-2), axis=-1)
+    assert len({max(0, math.ceil(math.log2(x / THETA13))) for x in norms}) >= 3
+    got = expm(stack)
+    for A, E in zip(stack, got):
+        ref = expm(A)
+        assert max_abs(E - ref) <= 1e-14 * max_abs(ref)
+    # Any stack shape; zero matrices inside a stack are exact identities.
+    deep = np.concatenate([stack[:3], np.zeros((3, 4, 4))]).reshape(2, 3, 4, 4)
+    got = expm(deep)
+    assert got.shape == (2, 3, 4, 4)
+    assert max_abs(got[0] - expm(stack[:3])) <= 1e-14 * max_abs(got[0])
+    assert all(np.array_equal(E, np.eye(4)) for E in got[1])
+
+
+def test_expm_rejects_non_square_stacks():
+    for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((4, 2, 3))):
+        with pytest.raises(DomainError):
+            expm(bad)
+    with pytest.raises(DomainError):
+        expm(np.full((2, 2, 2), np.nan))
 
 
 @pytest.mark.parametrize("w", [1e-3, 0.5, 3.0, 40.0])

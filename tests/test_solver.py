@@ -29,8 +29,9 @@ from fraclode import (
     solve_scalar_rect,
     solve_via_spectral,
 )
-from fraclode.solver import TERM_TOL, _terms
-from fraclode.specfun import rpow
+from fraclode.linalg import eig_real_simple, expm
+from fraclode.solver import MAX_LATTICE_SIZE, TERM_TOL, _fft_size, _rect_lattice, _terms
+from fraclode.specfun import exp_section, rpow
 
 FIXTURE = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "closed_form_reference.json").read_text()
@@ -123,6 +124,84 @@ def test_grid_must_start_after_t0():
         solve_scalar_rect(-2.0, 1.0, ORDER_13, 0.5, [0.5, 0.6])
     with pytest.raises(DomainError):
         solve_scalar_quad(-2.0, 1.0, ORDER_13, 0.5, [0.4])
+
+
+def _rect_direct(lams, order, t0, times):
+    """Y[k, i] of the rectangle rule with each kept term convolved directly,
+    in O(K^2): the evaluation the collapsed-kernel FFT replaces."""
+    times = np.asarray(times, dtype=float)
+    u = times - t0
+    m, r, terms = _terms(np.asarray(lams, dtype=float), order, float(u[-1]))
+    h, k_idx = _rect_lattice(times, t0)
+    k_max = int(k_idx[-1])
+    nodes = h * np.arange(k_max)
+    dist = h * np.arange(1, k_max + 1)
+    Y = exp_section(np.outer(u, r), m, 0)
+    for term in terms:
+        full = np.column_stack([np.convolve(col, dist ** (term.a - 1.0))[:k_max]
+                                for col in exp_section(np.outer(nodes, r), m, term.j).T])
+        Y += term.coef * h * full[k_idx - 1]
+    return Y
+
+
+@pytest.mark.parametrize("alpha", [1 / 3, 3 / 7, 199 / 203])
+@pytest.mark.parametrize("K", [101, 2000])
+def test_rect_fft_matches_direct_convolution(alpha, K):
+    # Gate on max|x|: pointwise, where x passes near 0, the two orders of
+    # summation differ by up to about 1e-12 relative.
+    order = approximate_order(alpha, tol=1e-12, q_max=200)
+    grid = (1.01 / K) * np.arange(1, K + 1)
+    for lam in (-2.0, 2.0):
+        got = solve_scalar_rect(lam, 1.0, order, 0.0, grid).values
+        ref = _rect_direct([lam], order, 0.0, grid)[:, 0]
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_rect_fft_matrix_matches_direct_convolution():
+    # n = 20, dense and non-normal, on a sub-grid that starts at t0 + 5h.
+    rng = np.random.default_rng(11)
+    n = 20
+    lams = np.array(sorted([s * (0.3 + 0.2 * i) for i in range(10) for s in (-1, 1)]))
+    S = rng.standard_normal((n, n)) + 4.0 * np.eye(n)
+    A = S @ np.diag(lams) @ np.linalg.inv(S)
+    x0 = rng.uniform(-1.0, 1.0, n)
+    t0 = 0.5
+    grid = _grid(0.01, 1.51, t0)[4:]
+    dec = eig_real_simple(A)
+    for alpha in (3 / 7, 199 / 203):
+        order = approximate_order(alpha, tol=1e-12, q_max=200)
+        problem = CauchyProblem(A=A, x0=x0, t0=t0, order=order)
+        got = solve_matrix(problem, SolveConfig(grid=grid)).states
+        ref = (_rect_direct(dec.lambdas, order, t0, grid) * (dec.T_inv @ x0)) @ dec.T.T
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_fft_size_is_least_five_smooth_length():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    for n in range(1, 3000):
+        size = _fft_size(n)
+        assert size >= n and smooth(size)
+        assert not any(smooth(k) for k in range(n, size))
+
+
+def test_rect_lattice_limit_fails_before_allocating():
+    # h = 5e-7 puts t = 1000 at lattice node 2e9.
+    with pytest.raises(DomainError, match="lattice"):
+        solve_scalar_rect(-2.0, 1.0, ORDER_13, 0.0, [5e-7, 1e-6, 1000.0])
+    # The limit counts lattice nodes times eigenvalues.
+    h = 1e-6
+    grid = [h, 2 * h, h * (MAX_LATTICE_SIZE // 2 + 1)]
+    _rect_lattice(np.array(grid), 0.0, 1)
+    with pytest.raises(DomainError, match="lattice"):
+        _rect_lattice(np.array(grid), 0.0, 2)
+    problem = CauchyProblem(A=np.diag([-2.0, 3.0]), x0=[1.0, 1.0], t0=0.0, order=ORDER_13)
+    with pytest.raises(DomainError, match="lattice"):
+        solve_matrix(problem, SolveConfig(grid=grid))
 
 
 # ------------------------------------------------------- scalar Simpson
@@ -471,6 +550,21 @@ def test_classical_exponential_zero_matrix():
     )
     traj = classical_exponential(problem, [0.5, 1.0, 2.0])
     assert np.max(np.abs(traj.states - np.array([3.0, -1.0]))) == 0.0
+
+
+def test_classical_exponential_in_blocks_matches_per_time_expm():
+    # n = 25 puts 13 times in each expm call: the grid spans several
+    # blocks, and a system of size 0 still solves.
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal((25, 25))
+    x0 = rng.standard_normal(25)
+    grid = np.linspace(0.05, 2.0, 40)
+    problem = CauchyProblem(A=A, x0=x0, t0=0.0, order=ORDER_1)
+    got = classical_exponential(problem, grid).states
+    ref = np.array([expm(t * A) @ x0 for t in grid])
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    empty = CauchyProblem(A=np.zeros((0, 0)), x0=[], t0=0.0, order=ORDER_1)
+    assert classical_exponential(empty, grid).states.shape == (40, 0)
 
 
 def test_classical_exponential_semigroup_spot_check():
