@@ -107,7 +107,7 @@ def _parse_matrix(spec: dict, field: str, required: bool = True):
         return None
     try:
         m = np.asarray(spec[field], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(field, f"not a numeric matrix: {exc}") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SchemaError(field, f"must be a square matrix, got shape {m.shape}")
@@ -144,8 +144,9 @@ def _parse_grid(spec: dict, t0: float) -> np.ndarray:
 
 
 def _parse_method(name, field: str = "method") -> Quadrature:
+    """The backend a spec names; `simpson` when it names none."""
     if name is None:
-        return Quadrature.RECTANGLE
+        return Quadrature.SIMPSON
     try:
         return Quadrature(name)
     except ValueError:
@@ -277,7 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve a Cauchy problem from a JSON spec")
+    p_solve = sub.add_parser(
+        "solve", help="solve a Cauchy problem from a JSON spec",
+        description="Solve D^alpha x = A x, x(t0) = x0, from a JSON spec and write "
+                    "t,x1,...,xn.  The spec's optional 'method' is 'simpson' (the "
+                    "default: Gauss-Jacobi quadrature of the integrals) or "
+                    "'rectangle' (the literal left-endpoint rule, which converges "
+                    "only like h^(1/(2q+1))).")
     p_solve.add_argument("--config", required=True, help="JSON problem spec")
     p_solve.add_argument("--out", required=True, help="output CSV path")
     p_solve.add_argument("--verbose", action="store_true")
@@ -295,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--config", required=True, help="JSON case spec")
     p_table.add_argument("--out", required=True, help="output CSV path")
     p_table.add_argument("--method", choices=["rectangle", "simpson"],
-                         help="override the case's quadrature method")
+                         help="override the case's quadrature method "
+                              "(default: the case's, else simpson)")
     p_table.add_argument("--h", type=float, help="override the case's grid step")
     p_table.add_argument("--verbose", action="store_true")
     p_table.set_defaults(func=cmd_table)

@@ -9,6 +9,7 @@ eps-perturbation ladder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +147,11 @@ PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 THETA13 = 5.371920351148152
 
 
+#: expm evaluates a stack in blocks of at most this many entries, which
+#: bounds its Pade temporaries (about ten arrays of the block's size).
+EXPM_BLOCK_ELEMENTS = 2 ** 13
+
+
 def expm(A) -> np.ndarray:
     """Matrix exponential by [13/13] Pade scaling and squaring (Higham 2005).
 
@@ -153,15 +159,26 @@ def expm(A) -> np.ndarray:
     A is one (n, n) matrix or a (..., n, n) stack; each matrix is scaled by
     its own 2^-s so that its 1-norm is at most THETA13, the approximant
     r(B) = (V - U)^-1 (V + U) is formed, and squared s times.  Zero
-    matrices give the identity exactly.
+    matrices give the identity exactly.  A stack goes through in blocks of
+    at most EXPM_BLOCK_ELEMENTS entries (at least one matrix each), so the
+    memory beyond the result does not grow with the stack.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DomainError(f"expected a square matrix or a stack of them, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise DomainError("matrix entries must be finite")
-    if A.ndim == 2:
-        return expm(A[None])[0]
+    n = A.shape[-1]
+    flat = A.reshape(math.prod(A.shape[:-2]), n, n)  # -1 is ambiguous at n = 0
+    E = np.empty_like(flat)
+    step = max(1, EXPM_BLOCK_ELEMENTS // max(1, n * n))
+    for i in range(0, len(flat), step):
+        E[i:i + step] = _expm_block(flat[i:i + step])
+    return E.reshape(A.shape)
+
+
+def _expm_block(A: np.ndarray) -> np.ndarray:
+    """expm of a finite (k, n, n) stack, all at once."""
     n = A.shape[-1]
     ident = np.eye(n)
     norm = np.max(np.sum(np.abs(A), axis=-2), axis=-1, initial=0.0)

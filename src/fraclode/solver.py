@@ -44,10 +44,12 @@ NonConvergenceError rather than return a wrong value.
 
 For lambda < 0 and p > 0 the sections grow like e^(|r| u cos(pi/m)) while
 the solution decays, so the attainable absolute accuracy is about
-1e-16 e^(|r| u); once that noise exceeds simpson_tol times the scale,
-the Simpson backend raises QuadratureFailureError (lambda = -5 at
-alpha = 3/7, |r| u = 43).  Zero eigenvalues raise ZeroEigenvalueError
-and grids must start strictly after t0; both are kept API contracts.
+2^-52 e^(|r| u).  Before any grid work the Simpson backend compares that
+floor, relative to the scale e^(|r| u cos(pi/m)), with simpson_tol and
+raises QuadratureFailureError when it is larger (lambda = -5 at
+alpha = 3/7, |r| u = 43; on t <= 1.01, every lambda < -4.026).  Zero
+eigenvalues raise ZeroEigenvalueError and grids must start strictly
+after t0; both are kept API contracts.
 """
 
 from __future__ import annotations
@@ -81,6 +83,9 @@ from .specfun import MLParams, exp_section, mittag_leffler
 DEFAULT_SIMPSON_TOL = 1e-10
 #: Convolution terms bounded below TERM_TOL * e^(|r| u_max) are dropped.
 TERM_TOL = 1e-17
+#: _terms screens the n - 1 candidates only above this n; below it the
+#: screen costs more than the log Gamma it saves.
+TERM_SCREEN_MIN_N = 64
 #: Rectangle backend: at most this many lattice nodes times eigenvalues.
 MAX_LATTICE_SIZE = 10 ** 6
 #: Gauss–Jacobi node counts of the Simpson backend: GJ_MIN_NODES, doubled
@@ -89,9 +94,6 @@ MAX_LATTICE_SIZE = 10 ** 6
 GJ_MIN_NODES = 16
 GJ_MAX_NODES = 256
 GJ_BLOCK_ELEMENTS = 2 ** 13
-#: classical_exponential hands expm stacks of at most this many entries,
-#: which bounds the Pade temporaries (about ten arrays of the stack's size).
-EXPM_BLOCK_ELEMENTS = 2 ** 13
 
 
 class Quadrature(Enum):
@@ -133,7 +135,13 @@ class SolveConfig:
     quadrature: Quadrature = Quadrature.RECTANGLE
     #: Simpson backend: successive Gauss–Jacobi rules must agree to this,
     #: in max-abs over the grid, on each integral divided by its bound
-    #: e^(growth |r| u) and multiplied by k/n (see _jacobi_integral).
+    #: e^(growth |r| u) and multiplied by k/n (see _jacobi_integral).  It
+    #: is relative to that bound, not to x: for lambda < 0 and m > 1 the
+    #: bound exceeds |x| by up to e^(growth |r| u), and a solve that
+    #: returns can be off by far more than simpson_tol * max|x|.  At
+    #: alpha = 3/7 on t <= 1.01 the error is 1.8e-7 of max|x| at
+    #: lambda = -3.5 and 7.3e-5 at lambda = -4, against mpmath.  Where
+    #: the rounding floor alone exceeds it, the solve raises at once.
     simpson_tol: float = DEFAULT_SIMPSON_TOL
 
     def __post_init__(self) -> None:
@@ -252,23 +260,35 @@ def _terms(lams: np.ndarray, order: FractionalOrder,
 
     A term is kept when, for some eigenvalue, its bound
     |c| (n/k) u^(k/n) X^j e^X / j!, X = |r| u_max, is at least
-    TERM_TOL * e^X.
+    TERM_TOL * e^X.  Gamma(k/n) >= 1 on (0, 1], so the bound without the
+    1/Gamma(k/n) in |c| is an upper bound: above TERM_SCREEN_MIN_N it
+    screens the candidates, and log Gamma is taken of the survivors only.
     """
     if np.any(lams == 0.0):
         raise ZeroEigenvalueError("lambda = 0 is outside the solver's domain")
     m, n = _reduced(order)
     sign, mag = np.where(lams < 0.0, -1.0, 1.0), np.abs(lams)
     r = sign * mag ** (n / m)  # n is odd
-    k = np.arange(1, n)
-    a = k / n
-    j = (-k * pow(n, -1, m)) % m
-    log_gamma = np.array(list(map(math.lgamma, a.tolist())))  # log Gamma(k/n)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, m)))))  # log j!
-    log_bound = ((np.log(n / k) - log_gamma + a * math.log(u_max) - log_fact[j])[:, None]
-                 + np.outer(k / m, np.log(mag)) + np.outer(j, np.log(np.abs(r) * u_max)))
-    kept = np.flatnonzero(np.any(log_bound >= math.log(TERM_TOL), axis=1))
-    coef = sign ** k[kept, None] * mag ** (k[kept, None] / m) / np.exp(log_gamma[kept, None])
-    return m, r, [_Term(a=float(a[i]), j=int(j[i]), coef=c) for i, c in zip(kept, coef)]
+    log_tol = math.log(TERM_TOL)
+    n_inv = pow(n, -1, m)
+
+    def log_bound(k, log_gamma):
+        """log of the bound per (term, eigenvalue); 0 for log_gamma drops 1/Gamma."""
+        a, j = k / n, (-k * n_inv) % m
+        return ((np.log(n / k) - log_gamma + a * math.log(u_max) - log_fact[j])[:, None]
+                + np.outer(k / m, np.log(mag)) + np.outer(j, np.log(np.abs(r) * u_max)))
+
+    k = np.arange(1, n)
+    if n > TERM_SCREEN_MIN_N:
+        # The margin covers the rounding of the two sums' different orders.
+        k = k[np.any(log_bound(k, 0.0) >= log_tol - 1e-9, axis=1)]
+    log_gamma = np.array(list(map(math.lgamma, (k / n).tolist())))  # log Gamma(k/n)
+    kept = np.any(log_bound(k, log_gamma) >= log_tol, axis=1)
+    k, log_gamma = k[kept], log_gamma[kept]
+    a, j = k / n, (-k * n_inv) % m
+    coef = sign ** k[:, None] * mag ** (k[:, None] / m) / np.exp(log_gamma[:, None])
+    return m, r, [_Term(a=float(a_), j=int(j_), coef=c) for a_, j_, c in zip(a, j, coef)]
 
 
 def _jacobi_integral(ru: np.ndarray, m: int, j: int, a: float,
@@ -298,6 +318,20 @@ def _jacobi_integral(ru: np.ndarray, m: int, j: int, a: float,
         f"Gauss–Jacobi rules did not settle to {tol:g} within {GJ_MAX_NODES} nodes "
         f"(a = {a:.6g}, section ({m}, {j}), |r| u = {np.max(np.abs(ru[-1])):.3g})"
     )
+
+
+def _check_rounding_floor(x: float, m: int, growth: float, tol: float) -> None:
+    """Raise QuadratureFailureError when no rule can meet tol at X = x.
+
+    For r < 0 and m > 1 the sections reach e^X, X = |r| u, while their
+    bound, the scale of simpson_tol, is e^(growth X): summing them leaves
+    a rounding floor of 2^-52 e^((1 - growth) X) relative to that scale.
+    """
+    if (1.0 - growth) * x - 52.0 * math.log(2.0) > math.log(tol):
+        raise QuadratureFailureError(
+            f"the sections' rounding floor 2^-52 e^({(1.0 - growth) * x:.3g}) exceeds "
+            f"simpson_tol = {tol:g} (section order {m}, |r| u = {x:.3g})"
+        )
 
 
 def _modes(lams, order: FractionalOrder, t0: float, times, quadrature: Quadrature,
@@ -332,10 +366,14 @@ def _modes(lams, order: FractionalOrder, t0: float, times, quadrature: Quadratur
     lams = np.asarray(lams, dtype=float)
     u = times - t0
     m, r, terms = _terms(lams, order, float(u[-1]))
+    growth = max(0.0, math.cos(math.pi / m))  # of H_{m,j}(r u) for r < 0
+    if quadrature is Quadrature.SIMPSON and m > 1 and np.any(r < 0.0):
+        _check_rounding_floor(float(np.max(-r[r < 0.0])) * float(u[-1]), m, growth,
+                              simpson_tol)
     ru = np.outer(u, r)
     Y = exp_section(ru, m, 0)
     # |H_{m,j}(r u)| <= e^(rate u) for u >= 0
-    rate = np.abs(r) * np.where(r > 0.0, 1.0, max(0.0, math.cos(math.pi / m)))
+    rate = np.abs(r) * np.where(r > 0.0, 1.0, growth)
     if quadrature is Quadrature.RECTANGLE and order.q > 0:
         h, k_idx = _rect_lattice(times, t0, len(lams))
         k_max = int(k_idx[-1])
@@ -404,9 +442,7 @@ def classical_exponential(problem: CauchyProblem, times) -> Trajectory:
     if len(times) > 1 and np.min(np.diff(times)) <= 0.0:
         raise DomainError("times must be strictly increasing")
     u = times - problem.t0
-    step = max(1, EXPM_BLOCK_ELEMENTS // max(1, problem.A.size))
-    states = np.concatenate([expm(u[i:i + step, None, None] * problem.A) @ problem.x0
-                             for i in range(0, len(u), step)])
+    states = expm(u[:, None, None] * problem.A) @ problem.x0
     return Trajectory(times=times, states=states)
 
 

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 CLI = [sys.executable, "-m", "fraclode"]
 
@@ -286,3 +288,137 @@ def test_verbose_banner(tmp_path):
     result = run_cli("solve", "--config", spec, "--out", str(tmp_path / "o.csv"), "--verbose")
     assert result.returncode == 0
     assert "simpson_tol" in result.stderr
+
+
+def test_solve_method_defaults_to_simpson(tmp_path):
+    # An omitted method is simpson.  At alpha = 0.3 (30001/100003 at the
+    # default order tolerance) the rectangle rule returns about -4653 at
+    # t = 1.01, where the solution is 0.2896.
+    from fraclode import approximate_order, scalar_closed_form
+    from fraclode.cli import main
+
+    outs = {}
+    for method in (None, "simpson", "rectangle"):
+        payload = dict(BASIC_SPEC) if method is None else dict(BASIC_SPEC, method=method)
+        spec = write_spec(tmp_path, f"{method}.json", payload)
+        outs[method] = tmp_path / f"{method}.csv"
+        assert main(["solve", "--config", spec, "--out", str(outs[method])]) == 0
+    assert outs[None].read_bytes() == outs["simpson"].read_bytes()
+    assert outs[None].read_bytes() != outs["rectangle"].read_bytes()
+
+    spec = write_spec(tmp_path, "p03.json", dict(BASIC_SPEC, alpha=0.3, grid=[1.01]))
+    assert main(["solve", "--config", spec, "--out", str(tmp_path / "p03.csv")]) == 0
+    _, rows = read_csv(tmp_path / "p03.csv")
+    ref = scalar_closed_form(-2.0, 1.0, approximate_order(0.3), 0.0, [1.01]).values
+    assert rows[:, 1] == pytest.approx(ref, rel=1e-9)
+    assert ref[0] == pytest.approx(0.2896, abs=1e-4)
+
+
+# ------------------------------------------------------------------ fuzz
+
+#: JSON values no numeric field accepts.
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                  st.sampled_from([[], [None], {}, {"x": 1}, float("nan"), float("inf"),
+                                   -float("inf"), 1e308, -1e308, 10**400, [[1.0, 2.0]]]))
+_ABSENT = object()
+
+
+def _mostly(valid, other, odds: int = 5):
+    """`valid`, or `other` about once in `odds` draws (i = 1, not the
+    i = 0 that hypothesis draws and shrinks towards most)."""
+    return st.integers(0, odds - 1).flatmap(lambda i: other if i == 1 else valid)
+
+
+def _field(valid, invalid=st.nothing()):
+    """A field: usually valid, sometimes invalid, junk or absent."""
+    return _mostly(valid, st.one_of(invalid, _JUNK, st.just(_ABSENT)))
+
+
+def _optional(valid, invalid=st.nothing()):
+    """An optional field: usually absent, else valid, invalid or junk."""
+    return _mostly(st.just(_ABSENT), st.one_of(valid, invalid, _JUNK), odds=2)
+
+
+_NUM = st.floats(-3.0, 3.0, allow_nan=False)
+#: Orders whose odd fractions are small, so a fuzzed solve stays cheap;
+#: 0.5 has none at the default tolerance.
+_ALPHA = st.sampled_from([1 / 3, 3 / 7, 199 / 203, 1.0, 0.5])
+_BAD_ALPHA = st.sampled_from([0.0, -0.3, 1.5])
+
+
+def _matrix(n):
+    return st.lists(st.lists(_NUM, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def _solve_spec(draw):
+    n = draw(st.integers(1, 3))
+    grid = st.one_of(
+        st.builds(lambda s, h, k: {"start": s / 100, "step": h / 100, "end": (s + h * k) / 100},
+                  st.integers(1, 100), st.integers(1, 20), st.integers(0, 60)),
+        st.lists(st.integers(1, 150), min_size=1, max_size=5, unique=True).map(
+            lambda ks: [k / 100 for k in sorted(ks)]))
+    bad_grid = st.one_of(
+        st.builds(lambda s, h, k: {"start": s / 100, "step": h / 100, "end": (s + h * k) / 100},
+                  st.integers(-2, 2), st.integers(-1, 1), st.integers(-2, 2)),
+        st.lists(st.integers(-5, 150), max_size=4).map(lambda ks: [k / 100 for k in ks]))
+    fields = {
+        "A": _field(_matrix(n), st.lists(st.lists(_NUM, max_size=3), max_size=3)),
+        "x0": _field(st.lists(_NUM, min_size=n, max_size=n), st.lists(_NUM, max_size=4)),
+        "t0": _optional(st.sampled_from([0.0, 0.005, -0.5]), st.just(1.2)),
+        "alpha": _field(_ALPHA, _BAD_ALPHA),
+        "grid": _field(grid, bad_grid),
+        "method": _optional(st.sampled_from(["simpson", "rectangle"]),
+                            st.sampled_from(["trapezoid", None])),
+        "tol": _optional(st.sampled_from([1e-12, 1e-3]), st.sampled_from([0.0, -1.0])),
+        "simpson_tol": _optional(st.sampled_from([1e-10, 1e-6]), st.just(0.0)),
+        "sum_range": _optional(st.just("from_zero"), st.just("from_one")),
+        "eps_ladder": _optional(st.just([1e-2, 1e-3]),
+                                st.lists(st.sampled_from([1e-2, 0.0, -1e-2]), max_size=3)),
+        "B": _optional(_matrix(n), _matrix(n % 3 + 1)),
+    }
+    spec = {k: draw(v) for k, v in fields.items()}
+    return {k: v for k, v in spec.items() if v is not _ABSENT}
+
+
+@st.composite
+def _table_spec(draw):
+    interval = st.tuples(st.integers(1, 30), st.integers(1, 30)).map(
+        lambda t: [t[0] / 50, (t[0] + t[1]) / 50])
+    fields = {
+        "a": _field(_NUM),
+        "alphas": _field(st.lists(_ALPHA, min_size=1, max_size=3),
+                         st.lists(_BAD_ALPHA, max_size=2)),
+        "interval": _field(interval, st.lists(st.integers(-5, 5), max_size=3)),
+        "h": _field(st.sampled_from([0.02, 0.1]), st.sampled_from([0.0, -0.1, 1e-9])),
+        "method": _optional(st.sampled_from(["simpson", "rectangle"]), st.just("trapezoid")),
+    }
+    spec = {k: draw(v) for k, v in fields.items()}
+    return {k: v for k, v in spec.items() if v is not _ABSENT}
+
+
+def _run_in_process(command, spec, tmp_path_factory):
+    """Exit code of `fraclode command` on spec, run in-process: anything
+    the CLI lets escape fails the test with its traceback."""
+    import contextlib
+    import io
+
+    from fraclode.cli import main
+
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    with contextlib.redirect_stderr(io.StringIO()):
+        return main([command, "--config", str(path), "--out", str(tmp / "out.csv")])
+
+
+@given(spec=_solve_spec())
+@settings(max_examples=80, deadline=None)
+def test_fuzzed_solve_specs_exit_cleanly(spec, tmp_path_factory):
+    assert _run_in_process("solve", spec, tmp_path_factory) in (0, 2, 3)
+
+
+@given(spec=_table_spec())
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_table_specs_exit_cleanly(spec, tmp_path_factory):
+    assert _run_in_process("table", spec, tmp_path_factory) in (0, 2, 3)

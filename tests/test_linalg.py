@@ -1,6 +1,7 @@
 """Tests for the dense real small-matrix kernels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from fraclode import (
     inverse,
     perturb_to_simple,
 )
-from fraclode.linalg import THETA13, as_matrix, max_abs
+from fraclode.linalg import EXPM_BLOCK_ELEMENTS, THETA13, as_matrix, max_abs
 
 
 def _random_simple(rng, n):
@@ -124,6 +125,27 @@ def test_expm_stack_matches_per_matrix_calls():
     assert got.shape == (2, 3, 4, 4)
     assert max_abs(got[0] - expm(stack[:3])) <= 1e-14 * max_abs(got[0])
     assert all(np.array_equal(E, np.eye(4)) for E in got[1])
+
+
+def test_expm_blocks_its_stack():
+    # A (2000, 20, 20) stack goes through in blocks of EXPM_BLOCK_ELEMENTS
+    # entries, 20 matrices each.  Each block equals its own call, and the
+    # memory beyond the 6.4 MB result stays near one block's temporaries
+    # (about 0.7 MB) instead of ten arrays of the stack's size.
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((20, 20)) / 4
+    stack = np.linspace(0.01, 3.0, 2000)[:, None, None] * base
+    tracemalloc.start()
+    try:
+        got = expm(stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - got.nbytes < 2e6
+    step = EXPM_BLOCK_ELEMENTS // base.size
+    assert step == 20
+    for i in range(0, len(stack), step):
+        assert np.array_equal(got[i:i + step], expm(stack[i:i + step]))
 
 
 def test_expm_rejects_non_square_stacks():

@@ -1,6 +1,7 @@
 """Tests for the odd-over-odd rational order representation."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -107,3 +108,70 @@ def test_value_properties():
     assert order.numerator == 1
     assert order.denominator == 3
     assert math.isclose(order.value, 1 / 3)
+
+
+def _scan(alpha: float, tol: float, q_max: int):
+    """(p, q, error) by the plain per-q scan, or None past q_max."""
+    for q in range(q_max + 1):
+        den = 2 * q + 1
+        m0 = 2 * round((alpha * den - 1.0) / 2.0) + 1
+        best = None
+        for m in (m0 - 2, m0, m0 + 2):
+            if 1 <= m <= den:
+                cand = (abs(m / den - alpha), (m - 1) // 2)
+                best = cand if best is None or cand < best else best
+        if best is not None and best[0] <= tol:
+            return best[1], q, best[0]
+    return None
+
+
+def _searched(alpha: float, tol: float, q_max: int):
+    try:
+        order = approximate_order(alpha, tol=tol, q_max=q_max)
+    except NoRepresentationError:
+        return None
+    return order.p, order.q, order.achieved_error
+
+
+# Exact odd fractions, fractions nudged off them, and plain floats: the
+# first are found early, the others often scan to q_max and are rejected.
+_odd_fraction = st.integers(0, 2000).flatmap(
+    lambda q: st.integers(0, q).map(lambda p: (2 * p + 1) / (2 * q + 1)))
+_alpha = st.one_of(
+    _odd_fraction,
+    st.tuples(_odd_fraction, st.floats(-1e-6, 1e-6)).map(lambda t: t[0] + t[1]).filter(
+        lambda a: 0.0 < a <= 1.0),
+    st.floats(1e-9, 1.0, exclude_min=True),
+)
+
+
+@given(alpha=_alpha, log_tol=st.floats(-13.0, -2.0), q_max=st.sampled_from([10, 10**3, 10**5]))
+@settings(max_examples=60, deadline=None)
+def test_search_matches_plain_scan(alpha, log_tol, q_max):
+    tol = 10.0 ** log_tol
+    assert _searched(alpha, tol, q_max) == _scan(alpha, tol, q_max)
+
+
+# The scalar prefix ends at q = 15 and the numpy blocks run over q = 16..271,
+# 272..1295 and 1296.. (rational_order.SCAN_PREFIX, FIRST_BLOCK).
+@pytest.mark.parametrize("alpha,tol,q_max", [
+    (1.0, 1e-12, 1), (29 / 31, 1e-13, 10**3), (29 / 33, 1e-13, 10**3),
+    (541 / 543, 1e-13, 10**3), (543 / 545, 1e-13, 10**3), (2591 / 2593, 1e-13, 10**4),
+    (0.5, 1e-3, 10**5), (0.5, 1e-6, 10**5), (0.5, 1e-6, 271), (0.5, 1e-6, 272),
+    (0.3, 1e-6, 10**5), (0.7, 1e-6, 10**5), (0.9, 1e-6, 10**5),
+    (1 / 3 + 1e-15, 1e-16, 10**3),
+])
+def test_search_matches_plain_scan_at_block_edges(alpha, tol, q_max):
+    assert _searched(alpha, tol, q_max) == _scan(alpha, tol, q_max)
+
+
+def test_rejection_does_not_scan_in_python():
+    # The plain scan takes about 0.1 s to reject 1/2 at the default
+    # tolerance and q_max; the block search takes a few ms.
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(NoRepresentationError):
+            approximate_order(0.5)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.05

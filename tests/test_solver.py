@@ -259,10 +259,9 @@ def test_quad_matches_frozen_values_tight():
 def test_quad_stiff_cancelling_rung_fails_fast():
     # lam = -5, alpha = 3/7: |r| u reaches 43 and the sections cancel to
     # ~e^21 * 1e-16 relative to their scale, so no rule can settle to
-    # simpson_tol.  The node count is capped: the error comes at once.
-    # The first call also builds and caches the rules (a 256 x 256 eigh,
-    # which a multithreaded BLAS can stall on a busy machine); the timed
-    # second call is the solve itself.
+    # simpson_tol.  _modes compares that rounding floor with simpson_tol
+    # before any grid work and builds no rule, so the error comes at once;
+    # the second call is timed.
     grid = _grid(0.01, 1.01)
     for _ in range(2):
         start = time.perf_counter()
@@ -284,6 +283,44 @@ def test_quad_stiff_decaying_rung_without_cancellation():
                                  / mpmath.gamma(k / mpmath.mpf(3) + 1), [0, mpmath.inf]))
                for u in grid]
     assert got == pytest.approx(ref, rel=1e-12)
+
+
+#: solve_scalar_quad at lam = -4, alpha = 3/7, on t = 0.05, 0.5, 1.01.
+#: They are off the true solution by up to 7.3e-5 of max|x|: simpson_tol
+#: bounds the rules' disagreement relative to e^(|r| u / 2), not to x.
+STIFF_EDGE_VALUES = [0.4108131247474691, 0.19308139411594993, 0.1476778849028051]
+
+
+def test_quad_rounding_floor_check_at_three_sevenths(monkeypatch):
+    # At alpha = 3/7 on t <= 1.01 the floor 2^-52 e^(|r| u / 2) crosses
+    # simpson_tol = 1e-10 at |lam| = 4.026.  Below it the rules run and
+    # lam = -4 still returns its values; from -4.02 on the solve raises,
+    # past the crossing before any exp_section call on the grid.
+    grid = _grid(0.01, 1.01)
+    got = solve_scalar_quad(-4.0, 1.0, ORDER_37, 0.0, grid).values
+    assert got[[4, 49, 100]] == pytest.approx(STIFF_EDGE_VALUES, rel=1e-9)
+    with pytest.raises(QuadratureFailureError):
+        solve_scalar_quad(-4.02, 1.0, ORDER_37, 0.0, grid)
+
+    def no_grid_work(*args):
+        raise AssertionError("exp_section ran before the rounding floor check")
+
+    monkeypatch.setattr("fraclode.solver.exp_section", no_grid_work)
+    for lam in (-4.25, -5.0):
+        with pytest.raises(QuadratureFailureError, match="rounding floor"):
+            solve_scalar_quad(lam, 1.0, ORDER_37, 0.0, grid)
+    A = np.diag([-5.0, 0.5])  # one stiff eigenvalue fails the matrix solve
+    problem = CauchyProblem(A=A, x0=[1.0, 1.0], t0=0.0, order=ORDER_37)
+    with pytest.raises(QuadratureFailureError, match="rounding floor"):
+        solve_matrix(problem, SolveConfig(grid=grid, quadrature=Quadrature.SIMPSON))
+
+
+def test_quad_rounding_floor_spares_first_section_and_rectangle():
+    # m = 1 (alpha = 1/3): H_{1,0} = exp does not cancel, so lam = -5
+    # solves; the rectangle rule does not check the floor at all.
+    grid = _grid(0.01, 1.01)
+    assert np.all(np.isfinite(solve_scalar_quad(-5.0, 1.0, ORDER_13, 0.0, grid).values))
+    assert np.all(np.isfinite(solve_scalar_rect(-5.0, 1.0, ORDER_37, 0.0, grid).values))
 
 
 def test_quad_near_one_order_decays_toward_exponential():
@@ -467,17 +504,14 @@ def _reference_terms(lam, m, n, u_max):
     return kept
 
 
-@pytest.mark.parametrize("m,n", [(1, 3), (3, 7), (1, 5), (5, 7), (199, 203),
-                                 (999, 1001), (1999, 2003), (1, 1)])
-def test_terms_keep_what_a_per_k_loop_keeps(m, n):
+def _check_terms_against_loop(m, n, lams, u_maxes):
     # One eigenvalue keeps exactly the loop's terms, with its coefficients;
     # several keep the union of their sets.
     from fraclode.rational_order import FractionalOrder
 
     order = FractionalOrder(alpha=m / n, p=(m - 1) // 2, q=(n - 1) // 2,
                             achieved_error=0.0)
-    lams = [s * v for v in (0.3, 2.0, 5.0, 10.0) for s in (-1.0, 1.0)]
-    for u_max in (0.01, 1.01, 10.0):
+    for u_max in u_maxes:
         refs = [_reference_terms(lam, m, n, u_max) for lam in lams]
         for lam, ref in zip(lams, refs):
             got_m, r, terms = _terms(np.array([lam]), order, u_max)
@@ -487,6 +521,20 @@ def test_terms_keep_what_a_per_k_loop_keeps(m, n):
                 assert t.coef[0] == pytest.approx(ref[round(t.a * n)][1], rel=1e-14)
         _, _, terms = _terms(np.array(lams), order, u_max)
         assert {round(t.a * n) for t in terms} == set().union(*refs)
+
+
+@pytest.mark.parametrize("m,n", [(1, 3), (3, 7), (1, 5), (5, 7), (199, 203),
+                                 (999, 1001), (1999, 2003), (1, 1)])
+def test_terms_keep_what_a_per_k_loop_keeps(m, n):
+    lams = [s * v for v in (0.3, 2.0, 5.0, 10.0) for s in (-1.0, 1.0)]
+    _check_terms_against_loop(m, n, lams, (0.01, 1.01, 10.0))
+
+
+def test_terms_keep_what_a_per_k_loop_keeps_at_large_q():
+    # alpha = 0.3 at the default order tolerance is 30001/100003: the
+    # screen drops all but a few hundred of the 100002 candidates before
+    # any log Gamma is taken.
+    _check_terms_against_loop(30001, 100003, [-5.0, -0.3, 2.0], (1.01,))
 
 
 def test_linearity_in_x0():
