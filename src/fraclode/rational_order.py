@@ -50,12 +50,9 @@ class FractionalOrder:
 
 
 #: approximate_order screens q = 0..SCAN_PREFIX - 1 one at a time, then
-#: blocks of q in numpy, the first FIRST_BLOCK wide and each next one
-#: BLOCK_GROWTH times wider, up to MAX_BLOCK: small q stay as cheap as a
-#: scalar loop, and a rejection at q_max = 10^5 takes five blocks.
+#: the blocks [q_lo, 2 q_lo) of q in numpy, at most MAX_BLOCK wide: small
+#: q stay as cheap as a scalar loop, and the memory of a block is bounded.
 SCAN_PREFIX = 16
-FIRST_BLOCK = 256
-BLOCK_GROWTH = 4
 MAX_BLOCK = 2 ** 16
 #: Covers the roundings between the screen of `_screened_qs` and the
 #: errors of `_best_at`: a few times 2^-53 (see `_screened_qs`).
@@ -94,9 +91,9 @@ def _screened_qs(alpha: float, tol: float, q_max: int):
         x = alpha * (q + 0.5) - 0.5
         if abs(x - round(x)) <= (q + 0.5) * bound:
             yield q
-    q_lo, width = SCAN_PREFIX, FIRST_BLOCK
+    q_lo = SCAN_PREFIX
     while q_lo <= q_max:
-        q_hi = min(q_lo + width, q_max + 1)
+        q_hi = min(q_lo + min(q_lo, MAX_BLOCK), q_max + 1)
         half_den = np.arange(q_lo + 0.5, q_hi, 1.0)  # q + 1/2
         x = alpha * half_den
         x -= 0.5
@@ -105,7 +102,7 @@ def _screened_qs(alpha: float, tol: float, q_max: int):
         half_den *= bound
         for i in np.flatnonzero(x <= half_den).tolist():
             yield q_lo + i
-        q_lo, width = q_hi, min(width * BLOCK_GROWTH, MAX_BLOCK)
+        q_lo = q_hi
 
 
 def approximate_order(alpha: float, tol: float = DEFAULT_TOL,

@@ -69,6 +69,7 @@ from .errors import (
     ZeroEigenvalueError,
 )
 from .linalg import (
+    EXPM_BLOCK_ELEMENTS,
     ZERO_EIG_TOL_SCALE,
     as_matrix,
     eig_real_simple,
@@ -83,9 +84,6 @@ from .specfun import MLParams, exp_section, mittag_leffler
 DEFAULT_SIMPSON_TOL = 1e-10
 #: Convolution terms bounded below TERM_TOL * e^(|r| u_max) are dropped.
 TERM_TOL = 1e-17
-#: _terms screens the n - 1 candidates only above this n; below it the
-#: screen costs more than the log Gamma it saves.
-TERM_SCREEN_MIN_N = 64
 #: Rectangle backend: at most this many lattice nodes times eigenvalues.
 MAX_LATTICE_SIZE = 10 ** 6
 #: Gauss–Jacobi node counts of the Simpson backend: GJ_MIN_NODES, doubled
@@ -261,8 +259,8 @@ def _terms(lams: np.ndarray, order: FractionalOrder,
     A term is kept when, for some eigenvalue, its bound
     |c| (n/k) u^(k/n) X^j e^X / j!, X = |r| u_max, is at least
     TERM_TOL * e^X.  Gamma(k/n) >= 1 on (0, 1], so the bound without the
-    1/Gamma(k/n) in |c| is an upper bound: above TERM_SCREEN_MIN_N it
-    screens the candidates, and log Gamma is taken of the survivors only.
+    1/Gamma(k/n) in |c| is an upper bound: it screens the candidates, and
+    log Gamma is taken of the survivors only.
     """
     if np.any(lams == 0.0):
         raise ZeroEigenvalueError("lambda = 0 is outside the solver's domain")
@@ -280,9 +278,8 @@ def _terms(lams: np.ndarray, order: FractionalOrder,
                 + np.outer(k / m, np.log(mag)) + np.outer(j, np.log(np.abs(r) * u_max)))
 
     k = np.arange(1, n)
-    if n > TERM_SCREEN_MIN_N:
-        # The margin covers the rounding of the two sums' different orders.
-        k = k[np.any(log_bound(k, 0.0) >= log_tol - 1e-9, axis=1)]
+    # The margin covers the rounding of the two sums' different orders.
+    k = k[np.any(log_bound(k, 0.0) >= log_tol - 1e-9, axis=1)]
     log_gamma = np.array(list(map(math.lgamma, (k / n).tolist())))  # log Gamma(k/n)
     kept = np.any(log_bound(k, log_gamma) >= log_tol, axis=1)
     k, log_gamma = k[kept], log_gamma[kept]
@@ -442,7 +439,12 @@ def classical_exponential(problem: CauchyProblem, times) -> Trajectory:
     if len(times) > 1 and np.min(np.diff(times)) <= 0.0:
         raise DomainError("times must be strictly increasing")
     u = times - problem.t0
-    states = expm(u[:, None, None] * problem.A) @ problem.x0
+    # Each block of times is reduced to states at once, so the memory
+    # beyond the (K, n) result is one block's, not a (K, n, n) stack.
+    states = np.empty((len(u), len(problem.x0)))
+    step = max(1, EXPM_BLOCK_ELEMENTS // max(1, problem.A.size))
+    for i in range(0, len(u), step):
+        states[i:i + step] = expm(u[i:i + step, None, None] * problem.A) @ problem.x0
     return Trajectory(times=times, states=states)
 
 

@@ -152,12 +152,16 @@ def test_search_matches_plain_scan(alpha, log_tol, q_max):
     assert _searched(alpha, tol, q_max) == _scan(alpha, tol, q_max)
 
 
-# The scalar prefix ends at q = 15 and the numpy blocks run over q = 16..271,
-# 272..1295 and 1296.. (rational_order.SCAN_PREFIX, FIRST_BLOCK).
+# The scalar prefix ends at q = 15 and the numpy blocks run over q = 16..31,
+# 32..63, ..., 32768..65535, then 2^16 wide from 65536
+# (rational_order.SCAN_PREFIX, MAX_BLOCK).
 @pytest.mark.parametrize("alpha,tol,q_max", [
     (1.0, 1e-12, 1), (29 / 31, 1e-13, 10**3), (29 / 33, 1e-13, 10**3),
-    (541 / 543, 1e-13, 10**3), (543 / 545, 1e-13, 10**3), (2591 / 2593, 1e-13, 10**4),
-    (0.5, 1e-3, 10**5), (0.5, 1e-6, 10**5), (0.5, 1e-6, 271), (0.5, 1e-6, 272),
+    (61 / 63, 1e-13, 10**3), (63 / 65, 1e-13, 10**3),
+    (2045 / 2047, 1e-13, 10**4), (2047 / 2049, 1e-13, 10**4),
+    (131069 / 131071, 1e-14, 2 * 10**5), (131071 / 131073, 1e-14, 2 * 10**5),
+    (262143 / 262145, 1e-14, 2 * 10**5),
+    (0.5, 1e-3, 10**5), (0.5, 1e-6, 10**5), (0.5, 1e-6, 31), (0.5, 1e-6, 32),
     (0.3, 1e-6, 10**5), (0.7, 1e-6, 10**5), (0.9, 1e-6, 10**5),
     (1 / 3 + 1e-15, 1e-16, 10**3),
 ])

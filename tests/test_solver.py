@@ -6,6 +6,7 @@ import json
 import math
 import pathlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -613,6 +614,25 @@ def test_classical_exponential_in_blocks_matches_per_time_expm():
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     empty = CauchyProblem(A=np.zeros((0, 0)), x0=[], t0=0.0, order=ORDER_1)
     assert classical_exponential(empty, grid).states.shape == (40, 0)
+
+
+def test_classical_exponential_memory_is_one_block_beyond_the_states():
+    # K = 20000 times at n = 20: the (K, n) states take 3.2 MB, while a
+    # (K, n, n) stack of inputs or exponentials would take 64 MB each.
+    # Each block of 20 times is reduced to states at once, so the peak
+    # stays near the states plus one block's temporaries (about 0.7 MB).
+    rng = np.random.default_rng(9)
+    A = rng.standard_normal((20, 20)) / 4
+    problem = CauchyProblem(A=A, x0=rng.standard_normal(20), t0=0.0, order=ORDER_1)
+    grid = np.linspace(1e-3, 2.0, 20000)
+    tracemalloc.start()
+    try:
+        states = classical_exponential(problem, grid).states
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert states.shape == (20000, 20)
+    assert peak - states.nbytes < 2e6
 
 
 def test_classical_exponential_semigroup_spot_check():
