@@ -270,12 +270,16 @@ def _terms(lams: np.ndarray, order: FractionalOrder,
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, m)))))  # log j!
     log_tol = math.log(TERM_TOL)
     n_inv = pow(n, -1, m)
+    # log X; where X underflows to 0, j log X is 0 at j = 0 and -inf past it.
+    x = np.abs(r) * u_max
+    log_x = np.log(x, out=np.full(x.shape, -np.inf), where=x > 0.0)
 
     def log_bound(k, log_gamma):
         """log of the bound per (term, eigenvalue); 0 for log_gamma drops 1/Gamma."""
         a, j = k / n, (-k * n_inv) % m
         return ((np.log(n / k) - log_gamma + a * math.log(u_max) - log_fact[j])[:, None]
-                + np.outer(k / m, np.log(mag)) + np.outer(j, np.log(np.abs(r) * u_max)))
+                + np.outer(k / m, np.log(mag))
+                + np.where(j[:, None] > 0, np.outer(np.maximum(j, 1), log_x), 0.0))
 
     k = np.arange(1, n)
     # The margin covers the rounding of the two sums' different orders.
@@ -418,16 +422,17 @@ def scalar_closed_form(lam: float, y0: float, order: FractionalOrder, t0: float,
                        times, tail_tol: float = 1e-16) -> Trajectory:
     """Mittag-Leffler closed form y(t) = y0 * E_alpha(lambda (t-t0)^alpha).
 
-    alpha = (2p+1)/(2q+1), evaluated by the series in `mittag_leffler`.
-    Independent of both quadrature backends; it is the oracle they are
-    checked against.
+    alpha = (2p+1)/(2q+1), evaluated by the series in `mittag_leffler`:
+    one call on the whole grid, which shares one Gamma table, and raises
+    at the first time whose series fails.  Independent of both quadrature
+    backends; it is the oracle they are checked against.
     """
     if lam == 0.0:
         raise ZeroEigenvalueError("lambda = 0 is outside the solver's domain")
     times = _check_times(times, t0)
     params = MLParams(alpha=order.value, tail_tol=tail_tol)
-    out = np.array([y0 * mittag_leffler(params, lam * (t - t0) ** order.value)
-                    for t in times])
+    z = np.array([lam * (t - t0) ** order.value for t in times])
+    out = y0 * mittag_leffler(params, z)
     return Trajectory(times=times, states=out[:, None])
 
 

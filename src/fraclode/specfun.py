@@ -107,25 +107,13 @@ class MLParams:
             raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
 
 
-def _series_term(z: float, k: int, g: float) -> float:
-    """z^k / Gamma(g), routed through logs to dodge intermediate overflow."""
-    if g <= 0.0 and g == math.floor(g):
-        return 0.0  # 1/Gamma vanishes at poles
-    if z == 0.0:
-        return 1.0 / math.gamma(g) if k == 0 else 0.0
-    sign = -1.0 if (z < 0.0 and k % 2 == 1) else 1.0
-    if g < 171.0:
-        denom = math.gamma(g)  # finite here: poles were screened above
-        if denom == 0.0:
-            return 0.0
-        mag = math.exp(k * math.log(abs(z)) - math.log(abs(denom)))
-        return sign * math.copysign(mag, denom)
-    # Large g: Gamma overflows but the term itself is tame.
-    return sign * math.exp(k * math.log(abs(z)) - math.lgamma(g))
-
-
-def mittag_leffler(params: MLParams, z: float) -> float:
+def mittag_leffler(params: MLParams, z: float | np.ndarray) -> float | np.ndarray:
     """E_{alpha,beta}(z) by direct series with exact (fsum) accumulation.
+
+    z is a scalar (returns a float) or an array (returns one of its
+    shape).  The terms' Gamma values are tabled once per call; each point
+    is then summed as a scalar call would, in order, and the first that
+    fails raises.
 
     The sum is exact, so the error is the terms' own rounding, about
     2^-52 sum_k |t_k|.  For z >= 0 every term is positive and that is a
@@ -140,14 +128,40 @@ def mittag_leffler(params: MLParams, z: float) -> float:
     |z| up to about 13 at alpha = 1, 3.5 at alpha = 1/2, 2.9 at 3/7 and
     2.25 at 1/3.  Arguments with |z| > 30 are rejected.
     """
+    zs = np.asarray(z, dtype=float)
+    table: list[tuple[float, float] | None] = []
+    out = [_ml_point(params, zi, table) for zi in zs.ravel().tolist()]
+    return out[0] if zs.ndim == 0 else np.array(out).reshape(zs.shape)
+
+
+def _ml_point(params: MLParams, z: float, table: list) -> float:
+    """One point of mittag_leffler.  table[k], grown as z needs it, is None
+    where 1/Gamma(alpha k + beta) is 0, else (log|Gamma|, a number of its sign)."""
     if abs(z) > ML_MAX_ABS_Z:
         raise DomainError(f"|z| = {abs(z)} outside documented domain |z| <= {ML_MAX_ABS_Z}")
+    log_z = math.log(abs(z)) if z != 0.0 else 0.0
     terms: list[float] = []
     prev = math.inf
     for k in range(params.max_terms):
-        g = params.alpha * k + params.beta
         try:
-            t = _series_term(z, k, g)
+            if k == len(table) and (z != 0.0 or k == 0):
+                g = params.alpha * k + params.beta
+                if g <= 0.0 and g == math.floor(g):
+                    table.append(None)
+                elif g < 171.0:
+                    denom = math.gamma(g)
+                    table.append((math.log(abs(denom)), denom) if denom != 0.0 else None)
+                else:  # Gamma overflows but the term itself is tame
+                    table.append((math.lgamma(g), 1.0))
+            row = table[k] if z != 0.0 or k == 0 else None
+            if row is None:
+                t = 0.0
+            elif z == 0.0:
+                t = 1.0 / math.gamma(params.beta)
+            else:
+                # z^k / Gamma(g), routed through logs to dodge overflow.
+                sign = -1.0 if (z < 0.0 and k % 2 == 1) else 1.0
+                t = sign * math.copysign(math.exp(k * log_z - row[0]), row[1])
         except OverflowError as exc:
             raise NonConvergenceError(
                 f"series term k={k} for E_({params.alpha},{params.beta})({z}) "

@@ -7,9 +7,12 @@ import math
 import pathlib
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fraclode import (
     CauchyProblem,
@@ -32,7 +35,9 @@ from fraclode import (
 )
 from fraclode.linalg import eig_real_simple, expm
 from fraclode.solver import MAX_LATTICE_SIZE, TERM_TOL, _fft_size, _rect_lattice, _terms
-from fraclode.specfun import exp_section, rpow
+from fraclode.rational_order import FractionalOrder
+from fraclode.specfun import MLParams, exp_section, rpow
+from ml_reference import per_point_ml
 
 FIXTURE = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "closed_form_reference.json").read_text()
@@ -69,6 +74,19 @@ def test_closed_form_matches_frozen_high_precision_values():
         # rel 1e-8: negative-lambda cases hit alternating-series
         # cancellation in the Mittag-Leffler evaluation.
         assert got == pytest.approx(case["value"], rel=1e-8)
+
+
+@pytest.mark.parametrize("m,n", [(1, 3), (3, 7), (199, 203), (1999, 2003)])
+def test_closed_form_is_the_per_point_series_exactly(m, n):
+    # One mittag_leffler call per solve must give, bit for bit, what a
+    # scalar call per time gave.
+    order = FractionalOrder(alpha=m / n, p=(m - 1) // 2, q=(n - 1) // 2, achieved_error=0.0)
+    grid = _grid(0.01, 1.01)
+    params = MLParams(alpha=order.value)
+    for lam in (-2.0, 2.0, -0.3, 0.7):
+        got = scalar_closed_form(lam, 1.5, order, 0.0, grid).values
+        ref = np.array([1.5 * per_point_ml(params, lam * t ** order.value) for t in grid])
+        assert np.array_equal(got, ref)
 
 
 def test_closed_form_rejects_zero_lambda():
@@ -538,6 +556,20 @@ def test_terms_keep_what_a_per_k_loop_keeps_at_large_q():
     _check_terms_against_loop(30001, 100003, [-5.0, -0.3, 2.0], (1.01,))
 
 
+@pytest.mark.parametrize("lam", [1e-200, -1e-200])
+def test_underflowed_rate_warns_nowhere(lam):
+    # |lam|^3 underflows to a zero rate r at alpha = 1/3; the term screen
+    # once took log 0 and multiplied it by j = 0.  The solution is 1.
+    grid = _grid(0.01, 1.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (scalar_closed_form, solve_scalar_rect, solve_scalar_quad):
+            assert np.allclose(solve(lam, 1.0, ORDER_13, 0.0, grid).values, 1.0,
+                               rtol=0.0, atol=1e-15)
+        _, r, terms = _terms(np.array([lam]), ORDER_13, 1.01)
+        assert r[0] == 0.0 and terms == []
+
+
 def test_linearity_in_x0():
     grid = _grid(0.02, 1.0)
     base = CauchyProblem(
@@ -572,6 +604,55 @@ def test_similarity_covariance():
             np.abs(conj.states - base.states @ P.T) / (1.0 + np.abs(base.states @ P.T))
         )
         assert rel <= 1e-8
+
+
+@st.composite
+def _similar_pair(draw):
+    """(A, P): A upper triangular with distinct real eigenvalues,
+    |lambda| in [0.3, 2] and at least 0.1 apart, and P with cond(P) <= 100."""
+    n = draw(st.integers(2, 4))
+    mags = np.array(draw(st.lists(st.floats(0.3, 2.0), min_size=n, max_size=n)))
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    lams = signs * mags
+    assume(np.min(np.diff(np.sort(lams))) >= 0.1)
+    entries = st.floats(-1.0, 1.0)
+    upper = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    P = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    P = P + 2.0 * np.eye(n)
+    assume(np.linalg.cond(P) <= 100.0)
+    return np.diag(lams) + np.triu(upper, 1), P
+
+
+@given(pair=_similar_pair(), order=st.sampled_from([ORDER_13, ORDER_37]),
+       quad=st.sampled_from(list(Quadrature)))
+@settings(max_examples=40, deadline=None)
+def test_similarity_covariance_fuzzed(pair, order, quad):
+    # Solving P A P^-1 from P x0 gives P times the solution for A.
+    A, P = pair
+    x0 = np.linspace(1.0, -0.5, len(A))
+    config = SolveConfig(grid=_grid(0.02, 1.0), quadrature=quad)
+    base = solve_matrix(CauchyProblem(A=A, x0=x0, t0=0.0, order=order), config).states
+    conj = solve_matrix(CauchyProblem(A=P @ A @ np.linalg.inv(P), x0=P @ x0, t0=0.0,
+                                      order=order), config).states
+    ref = base @ P.T
+    assert np.max(np.abs(conj - ref) / (1.0 + np.abs(ref))) <= 1e-10
+
+
+@given(lam=st.floats(-5.0, 5.0).filter(lambda v: abs(v) >= 1e-3),
+       step=st.sampled_from([0.01, 0.05, 0.25]).flatmap(
+           lambda h: st.tuples(st.just(h), st.integers(1, round(2.0 / h)))))
+@settings(max_examples=60, deadline=None)
+def test_alpha_one_reduces_to_exp_on_every_path(lam, step):
+    # At alpha = 1 the oracle and both backends are exp(lambda u).  u <= 2
+    # keeps |z| <= 10, inside the range where the series' rounding bound
+    # admits z < 0.
+    h, K = step
+    grid = _grid(h, h * K)
+    ref = np.exp(lam * grid)
+    for solve, rel in ((scalar_closed_form, 1e-10), (solve_scalar_rect, 1e-15),
+                       (solve_scalar_quad, 1e-15)):
+        got = solve(lam, 1.0, ORDER_1, 0.0, grid).values
+        assert np.max(np.abs(got - ref) / np.maximum(1.0, ref)) <= rel
 
 
 def test_matrix_zero_eigenvalue_rejected():

@@ -21,6 +21,7 @@ from fraclode import (
     rpow,
 )
 from fraclode.specfun import exp_section
+from ml_reference import per_point_ml, per_point_outcome
 
 FIXTURE = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "closed_form_reference.json").read_text()
@@ -156,6 +157,8 @@ def test_ml_at_zero_is_inverse_gamma_beta():
     assert mittag_leffler(MLParams(alpha=0.5, beta=0.5), 0.0) == pytest.approx(
         1.0 / math.gamma(0.5), rel=1e-14
     )
+    # Gamma(-200.5) underflows to 0, so 1/Gamma is 0 (not a division by 0).
+    assert mittag_leffler(MLParams(alpha=0.5, beta=-200.5), 0.0) == 0.0
 
 
 def test_ml_half_erfc_identity():
@@ -208,6 +211,55 @@ def test_ml_slowly_converging_small_order():
     value = mittag_leffler(MLParams(alpha=mu, beta=mu), 0.9)
     assert math.isfinite(value)
     assert value > 0.0
+
+
+def _array_outcome(params, zs):
+    try:
+        return mittag_leffler(params, np.array(zs))
+    except (DomainError, NonConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    alpha=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    beta=st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+    zs=st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), min_size=1, max_size=12),
+    scale=st.sampled_from([1.0, 5.0, 30.0]),
+    max_terms=st.sampled_from([2000, 2000, 2000, 1, 2, 3, 6, 12]),
+)
+@settings(max_examples=150, deadline=None)
+def test_ml_array_matches_per_point_loop(alpha, beta, zs, scale, max_terms):
+    # One call on an array shares a Gamma table across the points; each
+    # value, and the first failure's class and message, must be the
+    # scalar loop's exactly.  z lies in [-30, 30]; the scales and the
+    # small term budgets mix values with overflow, cancellation and
+    # budget failures.
+    params = MLParams(alpha=alpha, beta=beta, max_terms=max_terms)
+    zs = [scale * z for z in zs]
+    ref = per_point_outcome(params, zs)
+    got = _array_outcome(params, zs)
+    if isinstance(ref, tuple):
+        assert got == ref
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, np.array(ref))
+
+
+@pytest.mark.parametrize("zs, error", [([0.5, -4.0, 31.0], NonConvergenceError),
+                                       ([0.5, 31.0, -4.0], DomainError)])
+def test_ml_array_raises_at_the_first_failing_point(zs, error):
+    # -4.0 cancels at alpha = 1/3 and 31 is outside the domain: whichever
+    # comes first raises, with the scalar call's message.
+    got = _array_outcome(MLParams(alpha=1 / 3), zs)
+    assert got[0] is error and got == per_point_outcome(MLParams(alpha=1 / 3), zs)
+
+
+def test_ml_scalar_returns_float_and_empty_array_returns_empty():
+    params = MLParams(alpha=3 / 7)
+    for z in (0.7, np.float64(0.7), -1.2, 0.0):
+        got = mittag_leffler(params, z)
+        assert type(got) is float and got == per_point_ml(params, float(z))
+    empty = mittag_leffler(params, np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
 def test_ml_params_validation():
