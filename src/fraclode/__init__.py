@@ -30,10 +30,8 @@ from .errors import (
     NoRepresentationError,
     OrderDomainError,
     OverflowError_,
-    PoleError,
     QuadratureFailureError,
     SingularEigenvectorsError,
-    SingularMatrixError,
     ZeroEigenvalueError,
 )
 from .linalg import (
@@ -41,7 +39,6 @@ from .linalg import (
     eig_real_simple,
     expm,
     frac_power,
-    inverse,
     perturb_to_simple,
 )
 from .rational_order import FractionalOrder, approximate_order
@@ -58,7 +55,7 @@ from .solver import (
     solve_scalar_rect,
     solve_via_spectral,
 )
-from .specfun import MLParams, gfact, mittag_leffler, rpow
+from .specfun import MLParams, mittag_leffler, rpow
 
 __version__ = "0.1.0"
 
@@ -75,12 +72,10 @@ __all__ = [
     "NoRepresentationError",
     "OrderDomainError",
     "OverflowError_",
-    "PoleError",
     "Quadrature",
     "QuadratureFailureError",
     "ResidualReport",
     "SingularEigenvectorsError",
-    "SingularMatrixError",
     "SolveConfig",
     "SpectralDecomposition",
     "StabilityVerdict",
@@ -94,10 +89,8 @@ __all__ = [
     "eig_real_simple",
     "expm",
     "frac_power",
-    "gfact",
     "gl_derivative",
     "gl_weights",
-    "inverse",
     "mittag_leffler",
     "perturb_to_simple",
     "residual_nev",

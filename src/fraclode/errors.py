@@ -13,10 +13,6 @@ class NoRepresentationError(FraclodeError):
     """No odd-over-odd rational within tolerance up to the denominator bound."""
 
 
-class PoleError(FraclodeError):
-    """Generalized factorial requested at a pole of the gamma function."""
-
-
 class DomainError(FraclodeError):
     """Argument outside the documented accuracy domain."""
 
@@ -35,10 +31,6 @@ class ClusteredSpectrumError(FraclodeError):
 
 class SingularEigenvectorsError(FraclodeError):
     """Eigenvector matrix numerically singular or too ill-conditioned."""
-
-
-class SingularMatrixError(FraclodeError):
-    """Matrix inversion detected rank deficiency."""
 
 
 class ZeroEigenvalueError(FraclodeError):

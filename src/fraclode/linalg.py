@@ -20,7 +20,6 @@ from .errors import (
     DomainError,
     OverflowError_,
     SingularEigenvectorsError,
-    SingularMatrixError,
     ZeroEigenvalueError,
 )
 from .specfun import rpow
@@ -117,24 +116,6 @@ def eig_real_simple(A, gap_tol: float | None = None) -> SpectralDecomposition:
             f"reconstruction residual {recon:.3e} exceeds {RECON_TOL * scale:.3e}"
         )
     return SpectralDecomposition(T=V, lambdas=w, T_inv=V_inv, recon_error=recon)
-
-
-def inverse(A) -> np.ndarray:
-    """Matrix inverse with an explicit residual check."""
-    A = as_matrix(A)
-    try:
-        Ainv = np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("matrix is singular") from exc
-    if not np.isfinite(Ainv).all():
-        raise SingularMatrixError("inverse has non-finite entries")
-    resid = max_abs(A @ Ainv - np.eye(A.shape[0]))
-    cond = max_abs(A) * max_abs(Ainv) * A.shape[0]
-    if resid > 1e-10 * max(1.0, cond):
-        raise SingularMatrixError(
-            f"inversion residual {resid:.3e} too large (cond-scaled bound {1e-10 * max(1.0, cond):.3e})"
-        )
-    return Ainv
 
 
 #: Coefficients b_0..b_13 of the [13/13] Pade approximant of exp and the

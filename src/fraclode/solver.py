@@ -365,6 +365,8 @@ def _modes(lams, order: FractionalOrder, t0: float, times, quadrature: Quadratur
         raise DomainError(f"simpson_tol must be positive, got {simpson_tol}")
     times = _check_times(times, t0)
     lams = np.asarray(lams, dtype=float)
+    if not np.isfinite(lams).all():
+        raise DomainError(f"eigenvalues must be finite, got {lams[~np.isfinite(lams)][0]}")
     u = times - t0
     m, r, terms = _terms(lams, order, float(u[-1]))
     growth = max(0.0, math.cos(math.pi / m))  # of H_{m,j}(r u) for r < 0
@@ -427,6 +429,8 @@ def scalar_closed_form(lam: float, y0: float, order: FractionalOrder, t0: float,
     at the first time whose series fails.  Independent of both quadrature
     backends; it is the oracle they are checked against.
     """
+    if not math.isfinite(lam):
+        raise DomainError(f"lambda must be finite, got {lam}")
     if lam == 0.0:
         raise ZeroEigenvalueError("lambda = 0 is outside the solver's domain")
     times = _check_times(times, t0)

@@ -1,6 +1,5 @@
-"""Scalar special functions: real odd-root powers, the generalized
-factorial, the m-sections of the exponential, and a series-based
-Mittag-Leffler evaluator.
+"""Scalar special functions: real odd-root powers, the m-sections of the
+exponential, and a series-based Mittag-Leffler evaluator.
 
 The Mittag-Leffler routine is deliberately independent of the solver
 modules; it serves as the reference oracle the solution formulas are
@@ -10,11 +9,12 @@ checked against.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, PoleError, ZeroEigenvalueError
+from .errors import DomainError, NonConvergenceError, ZeroEigenvalueError
 
 #: Documented accuracy domain for the plain power series.
 ML_MAX_ABS_Z = 30.0
@@ -43,20 +43,6 @@ def rpow(x: float, num: int, den: int) -> float:
     if x < 0.0 and num % 2 != 0:
         return -mag
     return mag
-
-
-def gfact(z: float) -> float:
-    """Generalized factorial z! = Gamma(z+1) for real z.
-
-    Raises PoleError when z+1 is a nonpositive integer.
-    """
-    w = z + 1.0
-    if w <= 0.0 and w == math.floor(w):
-        raise PoleError(f"gamma pole at z+1 = {w}")
-    try:
-        return math.gamma(w)
-    except (ValueError, OverflowError) as exc:
-        raise PoleError(f"gamma({w}) failed: {exc}") from exc
 
 
 def exp_section(x, m: int, j: int) -> np.ndarray:
@@ -99,6 +85,8 @@ class MLParams:
     tail_tol: float = 1e-16
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise DomainError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
         if self.alpha <= 0.0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
         if self.tail_tol <= 0.0:
@@ -111,9 +99,14 @@ def mittag_leffler(params: MLParams, z: float | np.ndarray) -> float | np.ndarra
     """E_{alpha,beta}(z) by direct series with exact (fsum) accumulation.
 
     z is a scalar (returns a float) or an array (returns one of its
-    shape).  The terms' Gamma values are tabled once per call; each point
-    is then summed as a scalar call would, in order, and the first that
-    fails raises.
+    shape).  A non-finite z, alpha or beta raises DomainError before any
+    series work.  The terms' Gamma values are tabled once per call:
+    lg[k] = log|Gamma(alpha k + beta)|, +inf where 1/Gamma is 0, and
+    sign[k], the sign of Gamma, kept as is for z > 0 and times (-1)^k for
+    z < 0.  Each term of a point z != 0 is then
+    sign[k] * exp(k log|z| - lg[k]), summed in order until two
+    consecutive terms are small and shrinking; z = 0 gives 1/Gamma(beta).
+    The first point that fails raises.
 
     The sum is exact, so the error is the terms' own rounding, about
     2^-52 sum_k |t_k|.  For z >= 0 every term is positive and that is a
@@ -129,60 +122,95 @@ def mittag_leffler(params: MLParams, z: float | np.ndarray) -> float | np.ndarra
     2.25 at 1/3.  Arguments with |z| > 30 are rejected.
     """
     zs = np.asarray(z, dtype=float)
-    table: list[tuple[float, float] | None] = []
+    finite = np.isfinite(zs)
+    if not finite.all():
+        raise DomainError(f"z must be finite, got {zs[~finite][0]}")
+    table: tuple[list[float], list[float], list[float]] = ([], [], [])
     out = [_ml_point(params, zi, table) for zi in zs.ravel().tolist()]
     return out[0] if zs.ndim == 0 else np.array(out).reshape(zs.shape)
 
 
-def _ml_point(params: MLParams, z: float, table: list) -> float:
-    """One point of mittag_leffler.  table[k], grown as z needs it, is None
-    where 1/Gamma(alpha k + beta) is 0, else (log|Gamma|, a number of its sign)."""
+#: log|Gamma| tabled where Gamma overflows: exp(k log|z| - it) overflows in
+#: turn, so the term raises only if a point's series reaches it.
+_GAMMA_OVERFLOWS = -sys.float_info.max
+
+
+def _grow(params: MLParams, table: tuple) -> None:
+    """Double the table (lg, sign for z > 0, sign for z < 0), 64 entries at first."""
+    lg, pos, neg = table
+    for k in range(len(lg), max(64, 2 * len(lg))):
+        g = params.alpha * k + params.beta
+        log_gamma, sign = math.inf, 1.0
+        try:
+            if g <= 0.0 and g == math.floor(g):
+                pass  # a pole: 1/Gamma is 0
+            elif g < 171.0:
+                denom = math.gamma(g)
+                if denom != 0.0:
+                    log_gamma, sign = math.log(abs(denom)), math.copysign(1.0, denom)
+            else:  # Gamma overflows but the term itself is tame
+                log_gamma = math.lgamma(g)
+        except OverflowError:
+            log_gamma = _GAMMA_OVERFLOWS
+        lg.append(log_gamma)
+        pos.append(sign)
+        neg.append(-sign if k % 2 else sign)
+
+
+def _ml_point(params: MLParams, z: float, table: tuple) -> float:
+    """One point of mittag_leffler, summing the terms up to the stop."""
     if abs(z) > ML_MAX_ABS_Z:
         raise DomainError(f"|z| = {abs(z)} outside documented domain |z| <= {ML_MAX_ABS_Z}")
-    log_z = math.log(abs(z)) if z != 0.0 else 0.0
-    terms: list[float] = []
-    prev = math.inf
-    for k in range(params.max_terms):
-        try:
-            if k == len(table) and (z != 0.0 or k == 0):
-                g = params.alpha * k + params.beta
-                if g <= 0.0 and g == math.floor(g):
-                    table.append(None)
-                elif g < 171.0:
-                    denom = math.gamma(g)
-                    table.append((math.log(abs(denom)), denom) if denom != 0.0 else None)
-                else:  # Gamma overflows but the term itself is tame
-                    table.append((math.lgamma(g), 1.0))
-            row = table[k] if z != 0.0 or k == 0 else None
-            if row is None:
-                t = 0.0
-            elif z == 0.0:
-                t = 1.0 / math.gamma(params.beta)
-            else:
-                # z^k / Gamma(g), routed through logs to dodge overflow.
-                sign = -1.0 if (z < 0.0 and k % 2 == 1) else 1.0
-                t = sign * math.copysign(math.exp(k * log_z - row[0]), row[1])
-        except OverflowError as exc:
-            raise NonConvergenceError(
-                f"series term k={k} for E_({params.alpha},{params.beta})({z}) "
-                f"overflowed double range"
-            ) from exc
-        terms.append(t)
-        at = abs(t)
-        # Terms decay super-geometrically once alpha*k+beta outgrows |z|;
-        # requiring two consecutive small, shrinking terms bounds the tail.
-        if at <= params.tail_tol and at <= prev and k > 0:
-            result = math.fsum(terms)
-            rounding = math.fsum(abs(t) for t in terms) * 2.0 ** -52
-            if rounding > ML_ROUNDING_TOL * max(1.0, abs(result)):
-                raise NonConvergenceError(
-                    f"series for E_({params.alpha},{params.beta})({z}) cancels: "
-                    f"rounding bound {rounding:.3e} exceeds "
-                    f"{ML_ROUNDING_TOL:g} * max(1, |{result:.6g}|)"
-                )
-            return result
-        prev = at
-    raise NonConvergenceError(
-        f"series for E_({params.alpha},{params.beta})({z}) did not reach "
-        f"tail_tol={params.tail_tol} within {params.max_terms} terms"
-    )
+    terms = _ml_terms(params, z, table)
+    if terms is None:
+        raise NonConvergenceError(
+            f"series for E_({params.alpha},{params.beta})({z}) did not reach "
+            f"tail_tol={params.tail_tol} within {params.max_terms} terms"
+        )
+    result = math.fsum(terms)
+    rounding = math.fsum(map(abs, terms)) * 2.0 ** -52
+    if rounding > ML_ROUNDING_TOL * max(1.0, abs(result)):
+        raise NonConvergenceError(
+            f"series for E_({params.alpha},{params.beta})({z}) cancels: "
+            f"rounding bound {rounding:.3e} exceeds "
+            f"{ML_ROUNDING_TOL:g} * max(1, |{result:.6g}|)"
+        )
+    return result
+
+
+def _ml_terms(params: MLParams, z: float, table: tuple) -> list[float] | None:
+    """The series' terms up to and including the first that stops it, or
+    None if max_terms is reached first; grows table as needed."""
+    lg, pos, neg = table
+    k = 0
+    try:
+        if z == 0.0:  # 1/Gamma(beta), then a zero term that stops the series
+            g = params.beta
+            denom = 0.0 if g <= 0.0 and g == math.floor(g) else math.gamma(g)
+            return [1.0 / denom if denom != 0.0 else 0.0, 0.0] if params.max_terms > 1 else None
+        log_z = math.log(abs(z))
+        sign = neg if z < 0.0 else pos
+        exp, tail_tol = math.exp, params.tail_tol
+        terms: list[float] = []
+        prev = math.inf
+        while k < params.max_terms:
+            if k == len(lg):
+                _grow(params, table)
+            end = min(len(lg), params.max_terms)
+            for k in range(k, end):
+                t = sign[k] * exp(k * log_z - lg[k])
+                terms.append(t)
+                at = abs(t)
+                # Terms decay super-geometrically once alpha*k+beta outgrows
+                # |z|; requiring two consecutive small, shrinking terms
+                # bounds the tail.
+                if at <= tail_tol and at <= prev and k > 0:
+                    return terms
+                prev = at
+            k = end
+    except OverflowError as exc:
+        raise NonConvergenceError(
+            f"series term k={k} for E_({params.alpha},{params.beta})({z}) "
+            f"overflowed double range"
+        ) from exc
+    return None

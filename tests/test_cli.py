@@ -259,6 +259,13 @@ def test_mlf_values():
     )
 
 
+@pytest.mark.parametrize("args", [("inf", "1", "0.5"), ("0.5", "nan", "1"), ("0.5", "1", "nan")])
+def test_mlf_non_finite_argument_is_solver_error(args):
+    result = run_cli("mlf", *args)
+    assert result.returncode == 3
+    assert "DomainError" in result.stderr and "must be finite" in result.stderr
+
+
 def test_stability_exit_codes(tmp_path):
     stable = write_spec(tmp_path, "s.json", {"A": [[-2.0, 0.0], [0.0, -1.0]]})
     result = run_cli("stability", "--config", stable)

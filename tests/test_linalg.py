@@ -11,12 +11,10 @@ from fraclode import (
     ComplexSpectrumError,
     DomainError,
     OverflowError_,
-    SingularMatrixError,
     ZeroEigenvalueError,
     eig_real_simple,
     expm,
     frac_power,
-    inverse,
     perturb_to_simple,
 )
 from fraclode.linalg import EXPM_BLOCK_ELEMENTS, THETA13, as_matrix, max_abs
@@ -74,21 +72,6 @@ def test_as_matrix_validation():
         as_matrix([1.0, 2.0])
     with pytest.raises(DomainError):
         as_matrix([[1.0, math.inf], [0.0, 1.0]])
-
-
-# ---------------------------------------------------------------- inverse
-
-
-def test_inverse_spot_cases():
-    assert max_abs(inverse(np.eye(3)) - np.eye(3)) <= 1e-14
-    assert max_abs(inverse(np.diag([2.0, 4.0])) - np.diag([0.5, 0.25])) <= 1e-14
-    got = inverse([[1.0, 1.0], [0.0, 1.0]])
-    assert max_abs(got - np.array([[1.0, -1.0], [0.0, 1.0]])) <= 1e-14
-
-
-def test_inverse_singular():
-    with pytest.raises(SingularMatrixError):
-        inverse([[1.0, 2.0], [2.0, 4.0]])
 
 
 # ---------------------------------------------------------------- expm

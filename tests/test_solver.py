@@ -94,6 +94,14 @@ def test_closed_form_rejects_zero_lambda():
         scalar_closed_form(0.0, 1.0, ORDER_13, 0.0, [1.0])
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("path", [scalar_closed_form, solve_scalar_quad, solve_scalar_rect])
+def test_scalar_paths_reject_non_finite_lambda(path, lam):
+    # A DomainError naming lambda, not an overflow of the states.
+    with pytest.raises(DomainError, match=f"must be finite, got {lam}"):
+        path(lam, 1.0, ORDER_13, 0.0, [0.5, 1.0])
+
+
 # ------------------------------------------------------- scalar rectangle
 
 

@@ -1,5 +1,5 @@
-"""Tests for real odd-root powers, the generalized factorial, and the
-Mittag-Leffler series."""
+"""Tests for real odd-root powers, the sections of the exponential, and
+the Mittag-Leffler series."""
 
 import json
 import math
@@ -14,9 +14,7 @@ from fraclode import (
     DomainError,
     MLParams,
     NonConvergenceError,
-    PoleError,
     ZeroEigenvalueError,
-    gfact,
     mittag_leffler,
     rpow,
 )
@@ -115,32 +113,6 @@ def test_rpow_sign_preservation(x, num, q):
     assert abs(pos - x ** (num / den)) <= 1e-12 * max(1.0, abs(pos))
 
 
-# ---------------------------------------------------------------- gfact
-
-
-def test_gfact_spot_values():
-    assert gfact(0.0) == pytest.approx(1.0, rel=1e-14)
-    assert gfact(1.0) == pytest.approx(1.0, rel=1e-14)
-    assert gfact(4.0) == pytest.approx(24.0, rel=1e-14)
-    # Gamma(3/2) = sqrt(pi)/2
-    assert gfact(0.5) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-14)
-    # Gamma(1/3), frozen from a 50-digit computation.
-    assert gfact(-2 / 3) == pytest.approx(FIXTURE["gamma_one_third"], rel=1e-13)
-
-
-def test_gfact_recurrence():
-    z = 0.5
-    while z <= 10.0:
-        assert gfact(z) == pytest.approx(z * gfact(z - 1.0), rel=1e-10)
-        z += 0.25
-
-
-def test_gfact_poles():
-    for z in (-1.0, -2.0, -3.0):
-        with pytest.raises(PoleError):
-            gfact(z)
-
-
 # ---------------------------------------------------------------- mittag_leffler
 
 
@@ -159,6 +131,17 @@ def test_ml_at_zero_is_inverse_gamma_beta():
     )
     # Gamma(-200.5) underflows to 0, so 1/Gamma is 0 (not a division by 0).
     assert mittag_leffler(MLParams(alpha=0.5, beta=-200.5), 0.0) == 0.0
+    # Gamma(1/3), frozen from a 50-digit computation.
+    assert mittag_leffler(MLParams(alpha=0.5, beta=1 / 3), 0.0) == pytest.approx(
+        1.0 / FIXTURE["gamma_one_third"], rel=1e-13
+    )
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, [0.5, math.nan]])
+def test_ml_rejects_non_finite_z(z):
+    # Before any series work: a NaN would otherwise run all max_terms.
+    with pytest.raises(DomainError, match="z must be finite, got (nan|inf|-inf)"):
+        mittag_leffler(MLParams(alpha=0.5), np.array(z))
 
 
 def test_ml_half_erfc_identity():
@@ -244,6 +227,74 @@ def test_ml_array_matches_per_point_loop(alpha, beta, zs, scale, max_terms):
         assert isinstance(got, np.ndarray) and np.array_equal(got, np.array(ref))
 
 
+def _matches_reference(params, zs):
+    """The array call's outcome equals the scalar loop's; returns it."""
+    ref = per_point_outcome(params, zs)
+    got = _array_outcome(params, zs)
+    if isinstance(ref, tuple):
+        assert got == ref
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, np.array(ref))
+    return got
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, -0.5), (0.5, -1.0), (0.5, -3.5)])
+def test_ml_pole_mid_series_matches_reference(alpha, beta):
+    # A pole's term is 0, so the scalar loop stops there; so must the array call.
+    got = _matches_reference(MLParams(alpha, beta), [0.7, -1.3, 2.5, 0.0, -0.0])
+    assert isinstance(got, np.ndarray)
+
+
+def test_ml_gamma_beta_underflow_matches_reference():
+    # Gamma(-200.5) is -0.0: the first term is 0.  At z = 0 the value is
+    # that 0 (the scalar loop divided by it); at alpha = 100 the later
+    # terms are finite and the sum is not 0.
+    assert mittag_leffler(MLParams(alpha=100.0, beta=-200.5), 0.0) == 0.0
+    got = _matches_reference(MLParams(alpha=100.0, beta=-200.5), [0.5, -0.5, 3.0])
+    assert isinstance(got, np.ndarray) and np.all(got != 0.0)
+    assert _matches_reference(MLParams(alpha=0.5, beta=-200.5), [0.7, -0.3])[0] == 0.0
+
+
+def test_ml_lgamma_branch_matches_reference():
+    # At alpha = 1/4, z = 3.5 the series runs past alpha k + 1 = 171 (a
+    # budget of 681 terms is not enough), where the table switches from
+    # log|gamma| to lgamma.
+    params = MLParams(alpha=0.25)
+    assert per_point_outcome(MLParams(0.25, 1.0, 681), [3.5])[0] is NonConvergenceError
+    assert isinstance(_matches_reference(params, [3.5, 0.1, 2.0]), np.ndarray)
+    assert _matches_reference(params, [3.5, -3.5])[0] is NonConvergenceError
+
+
+def test_ml_budget_at_the_stop_index_matches_reference():
+    # z = -2 at alpha = 1/3 needs 139 terms, past two growths of the
+    # table; a budget one or two short fails with the scalar loop's message.
+    n = 1  # the least budget with which the scalar loop returns a value
+    while isinstance(per_point_outcome(MLParams(1 / 3, 1.0, n), [-2.0]), tuple):
+        n += 1
+    assert n == 139
+    for max_terms in (n - 2, n - 1, n, n + 1, 64, 65, 128):
+        got = _matches_reference(MLParams(1 / 3, 1.0, max_terms), [0.1, -2.0])
+        assert isinstance(got, np.ndarray) == (max_terms >= n)
+
+
+def test_ml_overflowing_term_matches_reference():
+    assert "k=224" in _matches_reference(MLParams(alpha=0.1), [0.5, 30.0])[1]
+    # Gamma(1e-320) overflows: the first term, at z = 0 as elsewhere.
+    for z in (0.0, 0.5):
+        assert "k=0" in _matches_reference(MLParams(alpha=0.5, beta=1e-320), [z])[1]
+
+
+def test_ml_gamma_overflow_past_the_stop_raises_only_when_reached():
+    # Gamma(3 alpha + beta) = Gamma(2^-1051) overflows.  z = 1 stops at
+    # k = 1 and returns a value although the table holds that entry;
+    # z = 10 reaches k = 3 and raises there.
+    params = MLParams(alpha=2.0 ** -1000, beta=-3 * 2.0 ** -1000 + 2.0 ** -1051)
+    assert isinstance(_matches_reference(params, [1.0, -1.0]), np.ndarray)
+    assert "k=3" in _matches_reference(params, [1.0, 10.0])[1]
+    # lgamma(3e305) overflows; every z stops at k = 1, where the term is 0.
+    assert isinstance(_matches_reference(MLParams(alpha=1e305), [0.5, -2.0, 30.0]), np.ndarray)
+
+
 @pytest.mark.parametrize("zs, error", [([0.5, -4.0, 31.0], NonConvergenceError),
                                        ([0.5, 31.0, -4.0], DomainError)])
 def test_ml_array_raises_at_the_first_failing_point(zs, error):
@@ -269,3 +320,10 @@ def test_ml_params_validation():
         MLParams(alpha=0.5, tail_tol=0.0)
     with pytest.raises(DomainError):
         MLParams(alpha=0.5, max_terms=0)
+
+
+@pytest.mark.parametrize("alpha, beta", [(math.inf, 1.0), (math.nan, 1.0), (0.5, math.nan),
+                                         (0.5, -math.inf)])
+def test_ml_params_reject_non_finite(alpha, beta):
+    with pytest.raises(DomainError, match="alpha and beta must be finite"):
+        MLParams(alpha=alpha, beta=beta)
