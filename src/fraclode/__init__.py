@@ -10,7 +10,6 @@ independent scalar oracle.
 """
 
 from .analysis import (
-    ResidualReport,
     StabilityVerdict,
     StudyRow,
     Verdict,
@@ -74,7 +73,6 @@ __all__ = [
     "OverflowError_",
     "Quadrature",
     "QuadratureFailureError",
-    "ResidualReport",
     "SingularEigenvectorsError",
     "SolveConfig",
     "SpectralDecomposition",

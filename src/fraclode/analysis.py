@@ -4,7 +4,6 @@ spectrum-based stability verdicts, and the alpha-ladder convergence study.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -12,9 +11,9 @@ import numpy as np
 
 from .errors import DomainError, NonUniformGridError
 from .linalg import as_matrix, max_abs
-from .rational_order import approximate_order, DEFAULT_TOL, DEFAULT_Q_MAX
+from .rational_order import approximate_order, DEFAULT_TOL
 from .solver import (
-    DEFAULT_SIMPSON_TOL,
+    CauchyProblem,
     Quadrature,
     Trajectory,
     solve_scalar_quad,
@@ -33,13 +32,12 @@ def gl_weights(alpha: float, count: int) -> np.ndarray:
     return w
 
 
-def gl_derivative(samples, alpha: float, h: float, t0: float = 0.0) -> np.ndarray:
+def gl_derivative(samples, alpha: float, h: float) -> np.ndarray:
     """Grunwald-Letnikov fractional difference on a uniform grid.
 
     out[k] = h^(-alpha) * sum_{j=0..k} w_j * samples[k-j].  The lower
-    terminal is the time of samples[0] (t0 records where that is; it does
-    not enter the weights).  At alpha = 1 this is the first backward
-    difference.
+    terminal is the time of samples[0].  At alpha = 1 this is the first
+    backward difference.
     """
     if h <= 0.0:
         raise DomainError(f"h must be positive, got {h}")
@@ -58,74 +56,31 @@ def gl_derivative(samples, alpha: float, h: float, t0: float = 0.0) -> np.ndarra
     return out[:, 0] if squeeze else out
 
 
-class NormKind(Enum):
-    MAX_ABS = "MaxAbs"
+def residual_nev(problem: CauchyProblem, traj: Trajectory) -> float:
+    """The Caputo residual nev = max_{k >= 2} ||D^alpha x(t_k) - A x(t_k)||,
+    in max-abs over components, on the grid t_k = t0 + k h, k = 1..K.
 
-
-@dataclass
-class ResidualReport:
-    """Residual norm of the fractional equation on a computed trajectory."""
-
-    nev: float
-    norm_kind: NormKind
-    grid_step: float
-    skipped_prefix: int
-
-
-def _uniform_h(times: np.ndarray) -> float:
-    diffs = np.diff(times)
-    if len(diffs) == 0:
-        raise DomainError("need at least 2 grid points")
-    h = float(np.mean(diffs))
-    if np.max(np.abs(diffs - h)) > 1e-9 * h:
-        raise NonUniformGridError("residual metric requires a uniform grid")
-    return h
-
-
-def residual_nev(traj: Trajectory, A, alpha: float, skip: int = 1,
-                 differencing: str = "gl") -> ResidualReport:
-    """nev = max_{k >= skip} || D^alpha x(t_k) - A x(t_k) ||_maxabs.
-
-    differencing:
-      * "gl"        -- Grunwald-Letnikov difference (default).
-      * "exact_exp" -- exact differentiator for exponential-type samples,
-        d_k = x_k * ln(x_k / x_{k-1}) / h (componentwise, k >= 1).  Used at
-        alpha = 1 where it annihilates the residual of exact exponential
-        trajectories down to roundoff; requires nonzero samples of constant
-        sign per component and skip >= 1.
+    D^alpha is the Grunwald-Letnikov difference of x - x0 with the lower
+    terminal t0, where x(t0) = x0 gives a zero sample, and alpha is
+    problem.order.value.  The first point t0 + h is skipped: the GL error
+    of a solution that behaves like u^alpha near t0 peaks there.  Raises
+    NonUniformGridError unless traj.times is t0 + h, ..., t0 + K h.
     """
-    A = as_matrix(A)
-    times = traj.times
-    states = traj.states
-    K = states.shape[0]
-    if not (0 <= skip < K):
-        raise DomainError(f"skip={skip} must satisfy 0 <= skip < K={K}")
-    h = _uniform_h(times)
-
-    if differencing == "gl":
-        D = gl_derivative(states, alpha, h)
-    elif differencing == "exact_exp":
-        if skip < 1:
-            raise DomainError("exact_exp differencing needs skip >= 1")
-        with np.errstate(divide="raise", invalid="raise"):
-            try:
-                ratios = states[1:] / states[:-1]
-                D = np.empty_like(states)
-                D[0] = np.nan
-                D[1:] = states[1:] * np.log(ratios) / h
-            except FloatingPointError as exc:
-                raise DomainError(
-                    "exact_exp differencing needs nonzero, constant-sign samples"
-                ) from exc
-    else:
-        raise DomainError(f"unknown differencing mode {differencing!r}")
-
-    resid = D - states @ A.T
-    nev = float(np.max(np.abs(resid[skip:])))
-    if math.isnan(nev):
-        raise DomainError("residual is NaN")
-    return ResidualReport(nev=nev, norm_kind=NormKind.MAX_ABS, grid_step=h,
-                          skipped_prefix=skip)
+    times, states = traj.times, traj.states
+    K = len(times)
+    if K < 2:
+        raise DomainError("need at least 2 grid points")
+    if states.shape[1] != problem.n:
+        raise DomainError(
+            f"trajectory has {states.shape[1]} components but A is "
+            f"{problem.n}x{problem.n}"
+        )
+    h = float(times[-1] - problem.t0) / K
+    if not h > 0.0 or np.max(np.abs(times - problem.t0 - h * np.arange(1, K + 1))) > 1e-9 * h:
+        raise NonUniformGridError("residual metric requires the grid t0 + h, ..., t0 + K h")
+    shifted = np.vstack((np.zeros((1, problem.n)), states - problem.x0))
+    D = gl_derivative(shifted, problem.order.value, h)[1:]
+    return float(np.max(np.abs(D - states @ problem.A.T)[1:]))
 
 
 class Verdict(Enum):
@@ -175,19 +130,15 @@ class StudyRow:
 def convergence_study(a: float, alphas, t0: float, t_end: float, h: float,
                       backend: Quadrature = Quadrature.RECTANGLE,
                       x0: float = 1.0,
-                      order_tol: float = DEFAULT_TOL,
-                      q_max: int = DEFAULT_Q_MAX,
-                      simpson_tol: float = DEFAULT_SIMPSON_TOL,
-                      skip: int = 1) -> list[StudyRow]:
+                      order_tol: float = DEFAULT_TOL) -> list[StudyRow]:
     """Solve D^alpha x = a x over the alpha ladder; per alpha record the
     sup deviation from x0 e^{a (t-t0)} and the residual metric nev.
 
     Grid: t0 + h, t0 + 2h, ..., up to t_end (K = round((t_end - t0)/h)
-    points).  At alpha = 1 the residual uses the exact exponential
-    differentiator so nev reflects pure roundoff, matching the ladder's
-    machine-zero bottom row.  For alpha < 1 it is the Caputo residual:
-    Grunwald-Letnikov differencing of x - x0 from the lower terminal t0,
-    where x(t0) = x0 supplies a zero first sample.
+    points).  For alpha < 1, nev is `residual_nev`.  At alpha = 1 it uses
+    the exact differentiator of an exponential, x_k ln(x_k / x_{k-1}) / h,
+    so nev reflects pure roundoff, matching the ladder's machine-zero
+    bottom row; like `residual_nev` it skips t0 + h.
     """
     alphas = list(alphas)
     if not alphas:
@@ -197,25 +148,28 @@ def convergence_study(a: float, alphas, t0: float, t_end: float, h: float,
     K = int(round((t_end - t0) / h))
     if K < 2:
         raise DomainError("grid must contain at least 2 points")
-    if not (0 <= skip < K):
-        raise DomainError(f"skip={skip} must satisfy 0 <= skip < K={K}")
     grid = t0 + h * np.arange(1, K + 1)
     reference = x0 * np.exp(a * (grid - t0))
 
     rows: list[StudyRow] = []
     for alpha in alphas:
-        order = approximate_order(alpha, tol=order_tol, q_max=q_max)
+        order = approximate_order(alpha, tol=order_tol)
         if backend is Quadrature.RECTANGLE:
             traj = solve_scalar_rect(a, x0, order, t0, grid)
         else:
-            traj = solve_scalar_quad(a, x0, order, t0, grid, simpson_tol=simpson_tol)
-        sup_dev = float(np.max(np.abs(traj.values - reference)))
+            traj = solve_scalar_quad(a, x0, order, t0, grid)
+        x = traj.values
+        sup_dev = float(np.max(np.abs(x - reference)))
         if order.q == 0:
-            nev = residual_nev(traj, [[a]], order.value, skip=skip,
-                               differencing="exact_exp").nev
+            with np.errstate(divide="raise", invalid="raise"):
+                try:
+                    D = x[1:] * np.log(x[1:] / x[:-1]) / h
+                except FloatingPointError as exc:
+                    raise DomainError(
+                        "the alpha = 1 residual needs nonzero, constant-sign samples"
+                    ) from exc
+            nev = float(np.max(np.abs(D - a * x[1:])))
         else:
-            shifted = np.concatenate(([0.0], traj.values - x0))
-            D = gl_derivative(shifted, order.value, h)[1:]
-            nev = float(np.max(np.abs(D - a * traj.values)[skip:]))
+            nev = residual_nev(CauchyProblem(A=[[a]], x0=[x0], t0=t0, order=order), traj)
         rows.append(StudyRow(alpha=alpha, sup_deviation=sup_dev, nev=nev))
     return rows

@@ -40,7 +40,6 @@ EXIT_SOLVER = 3
 EXIT_UNSTABLE = 4
 EXIT_INCONCLUSIVE = 5
 
-DEFAULT_SKIP = 1
 #: Most points a grid object may ask for; checked before any allocation.
 MAX_GRID_POINTS = 10 ** 6
 
@@ -201,7 +200,7 @@ def _banner(args) -> None:
     if getattr(args, "verbose", False):
         print(
             f"fraclode defaults: order tol={DEFAULT_TOL}, "
-            f"simpson_tol={DEFAULT_SIMPSON_TOL}, residual skip={DEFAULT_SKIP}",
+            f"simpson_tol={DEFAULT_SIMPSON_TOL}",
             file=sys.stderr,
         )
 
@@ -245,8 +244,7 @@ def cmd_table(args) -> int:
                            else spec.get("method"))
     # x(t0) is given one step before the first reported point.
     t0 = start - h
-    rows = convergence_study(a, alphas, t0, end, h, backend=method,
-                             skip=DEFAULT_SKIP)
+    rows = convergence_study(a, alphas, t0, end, h, backend=method)
     _write_csv(args.out, ["alpha", "sup_dev", "nev"],
                ([r.alpha, r.sup_deviation, r.nev] for r in rows))
     return EXIT_OK
@@ -295,10 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solve D^alpha x = a x for each alpha of the case and write "
                     "alpha,sup_dev,nev.  Each alpha is approximated by (2p+1)/(2q+1) "
                     f"to the default order tolerance {DEFAULT_TOL:g}, so a row "
-                    "labelled 1999/2003 is solved at 999/1001.  For alpha < 1 nev is "
-                    "the Caputo residual, Grunwald-Letnikov differences of x - x0 "
-                    "from t0 = start - h; the library's residual_nev instead takes "
-                    "the first sample as the lower terminal.")
+                    "labelled 1999/2003 is solved at 999/1001.")
     p_table.add_argument("--config", required=True, help="JSON case spec")
     p_table.add_argument("--out", required=True, help="output CSV path")
     p_table.add_argument("--method", choices=["rectangle", "simpson"],

@@ -49,10 +49,9 @@ class FractionalOrder:
         return 2 * self.q + 1
 
 
-#: approximate_order screens q = 0..SCAN_PREFIX - 1 one at a time, then
-#: the blocks [q_lo, 2 q_lo) of q in numpy, at most MAX_BLOCK wide: small
-#: q stay as cheap as a scalar loop, and the memory of a block is bounded.
-SCAN_PREFIX = 16
+#: approximate_order screens q in numpy blocks [0, 16), then [q_lo, 2 q_lo),
+#: at most MAX_BLOCK wide: small q stay cheap, and the memory of a block
+#: is bounded.
 MAX_BLOCK = 2 ** 16
 #: Covers the roundings between the screen of `_screened_qs` and the
 #: errors of `_best_at`: a few times 2^-53 (see `_screened_qs`).
@@ -83,17 +82,11 @@ def _screened_qs(alpha: float, tol: float, q_max: int):
     at most tol (q + 1/2).  That distance changes by no more than the
     float error of x, and the float errors of `_best_at` are below 2^-52;
     ROUNDING_SLACK covers both, so no q that `_best_at` accepts is skipped.
-    Below SCAN_PREFIX the screen runs one q at a time, then on numpy
-    blocks, with the same float operations.
     """
     bound = tol + ROUNDING_SLACK
-    for q in range(min(SCAN_PREFIX, q_max + 1)):
-        x = alpha * (q + 0.5) - 0.5
-        if abs(x - round(x)) <= (q + 0.5) * bound:
-            yield q
-    q_lo = SCAN_PREFIX
+    q_lo, width = 0, 16
     while q_lo <= q_max:
-        q_hi = min(q_lo + min(q_lo, MAX_BLOCK), q_max + 1)
+        q_hi = min(q_lo + width, q_max + 1)
         half_den = np.arange(q_lo + 0.5, q_hi, 1.0)  # q + 1/2
         x = alpha * half_den
         x -= 0.5
@@ -102,7 +95,7 @@ def _screened_qs(alpha: float, tol: float, q_max: int):
         half_den *= bound
         for i in np.flatnonzero(x <= half_den).tolist():
             yield q_lo + i
-        q_lo = q_hi
+        q_lo, width = q_hi, min(q_hi, MAX_BLOCK)
 
 
 def approximate_order(alpha: float, tol: float = DEFAULT_TOL,

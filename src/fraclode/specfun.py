@@ -101,12 +101,14 @@ def mittag_leffler(params: MLParams, z: float | np.ndarray) -> float | np.ndarra
     z is a scalar (returns a float) or an array (returns one of its
     shape).  A non-finite z, alpha or beta raises DomainError before any
     series work.  The terms' Gamma values are tabled once per call:
-    lg[k] = log|Gamma(alpha k + beta)|, +inf where 1/Gamma is 0, and
-    sign[k], the sign of Gamma, kept as is for z > 0 and times (-1)^k for
-    z < 0.  Each term of a point z != 0 is then
+    lg[k] = log|Gamma(alpha k + beta)|, +inf at a pole, where 1/Gamma is
+    0, and sign[k], the sign of Gamma, kept as is for z > 0 and times
+    (-1)^k for z < 0.  Each term of a point z != 0 is then
     sign[k] * exp(k log|z| - lg[k]), summed in order until two
-    consecutive terms are small and shrinking; z = 0 gives 1/Gamma(beta).
-    The first point that fails raises.
+    consecutive terms are small and shrinking, a pole's zero term not
+    counting as small; z = 0 gives 1/Gamma(beta).  A term that overflows,
+    or whose Gamma over- or underflows off a pole, raises
+    NonConvergenceError.  The first point that fails raises.
 
     The sum is exact, so the error is the terms' own rounding, about
     2^-52 sum_k |t_k|.  For z >= 0 every term is positive and that is a
@@ -130,9 +132,10 @@ def mittag_leffler(params: MLParams, z: float | np.ndarray) -> float | np.ndarra
     return out[0] if zs.ndim == 0 else np.array(out).reshape(zs.shape)
 
 
-#: log|Gamma| tabled where Gamma overflows: exp(k log|z| - it) overflows in
-#: turn, so the term raises only if a point's series reaches it.
-_GAMMA_OVERFLOWS = -sys.float_info.max
+#: log|Gamma| tabled where Gamma overflows or underflows to 0 off a pole:
+#: exp(k log|z| - it) overflows in turn, so the term raises only if a
+#: point's series reaches it.
+_GAMMA_OUT_OF_RANGE = -sys.float_info.max
 
 
 def _grow(params: MLParams, table: tuple) -> None:
@@ -146,12 +149,13 @@ def _grow(params: MLParams, table: tuple) -> None:
                 pass  # a pole: 1/Gamma is 0
             elif g < 171.0:
                 denom = math.gamma(g)
-                if denom != 0.0:
-                    log_gamma, sign = math.log(abs(denom)), math.copysign(1.0, denom)
+                if denom == 0.0:  # underflow: 1/Gamma is out of range
+                    raise OverflowError
+                log_gamma, sign = math.log(abs(denom)), math.copysign(1.0, denom)
             else:  # Gamma overflows but the term itself is tame
                 log_gamma = math.lgamma(g)
         except OverflowError:
-            log_gamma = _GAMMA_OVERFLOWS
+            log_gamma = _GAMMA_OUT_OF_RANGE
         lg.append(log_gamma)
         pos.append(sign)
         neg.append(-sign if k % 2 else sign)
@@ -186,8 +190,10 @@ def _ml_terms(params: MLParams, z: float, table: tuple) -> list[float] | None:
     try:
         if z == 0.0:  # 1/Gamma(beta), then a zero term that stops the series
             g = params.beta
-            denom = 0.0 if g <= 0.0 and g == math.floor(g) else math.gamma(g)
-            return [1.0 / denom if denom != 0.0 else 0.0, 0.0] if params.max_terms > 1 else None
+            denom = math.inf if g <= 0.0 and g == math.floor(g) else math.gamma(g)
+            if denom == 0.0 or math.isinf(1.0 / denom):  # 1/Gamma out of range
+                raise OverflowError
+            return [1.0 / denom, 0.0] if params.max_terms > 1 else None
         log_z = math.log(abs(z))
         sign = neg if z < 0.0 else pos
         exp, tail_tol = math.exp, params.tail_tol
@@ -203,8 +209,8 @@ def _ml_terms(params: MLParams, z: float, table: tuple) -> list[float] | None:
                 at = abs(t)
                 # Terms decay super-geometrically once alpha*k+beta outgrows
                 # |z|; requiring two consecutive small, shrinking terms
-                # bounds the tail.
-                if at <= tail_tol and at <= prev and k > 0:
+                # bounds the tail.  A pole's zero term bounds nothing.
+                if at <= tail_tol and at <= prev and k > 0 and lg[k] != math.inf:
                     return terms
                 prev = at
             k = end

@@ -3,7 +3,9 @@ one scalar z per call, before it took arrays and tabled its Gamma values.
 
 The tests hold the array evaluator to this loop bit for bit: the same
 terms, the same stopping rule, the same fsum and rounding check, and the
-same error class and message at the same point.
+same error class and message at the same point.  At z != 0 a pole's zero
+term does not stop the series, and a 1/Gamma beyond double range (Gamma
+underflowing to 0 off a pole) overflows like any other term.
 """
 
 import math
@@ -17,12 +19,17 @@ def series_term(z, k, g):
     if g <= 0.0 and g == math.floor(g):
         return 0.0  # 1/Gamma vanishes at poles
     if z == 0.0:
-        return 1.0 / math.gamma(g) if k == 0 else 0.0
+        if k > 0:
+            return 0.0
+        denom = math.gamma(g)
+        if denom == 0.0 or math.isinf(1.0 / denom):
+            raise OverflowError("1/Gamma is out of double range")
+        return 1.0 / denom
     sign = -1.0 if (z < 0.0 and k % 2 == 1) else 1.0
     if g < 171.0:
         denom = math.gamma(g)  # finite here: poles were screened above
         if denom == 0.0:
-            return 0.0
+            raise OverflowError("Gamma underflows: 1/Gamma is out of double range")
         mag = math.exp(k * math.log(abs(z)) - math.log(abs(denom)))
         return sign * math.copysign(mag, denom)
     # Large g: Gamma overflows but the term itself is tame.
@@ -46,7 +53,8 @@ def per_point_ml(params, z):
             ) from exc
         terms.append(t)
         at = abs(t)
-        if at <= params.tail_tol and at <= prev and k > 0:
+        pole = z != 0.0 and g <= 0.0 and g == math.floor(g)
+        if at <= params.tail_tol and at <= prev and k > 0 and not pole:
             result = math.fsum(terms)
             rounding = math.fsum(abs(t) for t in terms) * 2.0 ** -52
             if rounding > ML_ROUNDING_TOL * max(1.0, abs(result)):

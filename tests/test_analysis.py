@@ -7,15 +7,19 @@ import numpy as np
 import pytest
 
 from fraclode import (
+    CauchyProblem,
     DomainError,
     NonUniformGridError,
     Quadrature,
     Trajectory,
     Verdict,
+    approximate_order,
     convergence_study,
     gl_derivative,
     gl_weights,
     residual_nev,
+    solve_scalar_quad,
+    solve_scalar_rect,
     stability_verdict,
 )
 
@@ -91,48 +95,95 @@ def test_gl_derivative_validation():
 # ---------------------------------------------------------------- residual
 
 
-def _exp_traj(a: float, h: float, t_end: float) -> Trajectory:
-    t = h * np.arange(1, int(round(t_end / h)) + 1)
-    return Trajectory(times=t, states=np.exp(a * t)[:, None])
+def _problem(A, x0, t0: float = 0.0, alpha: float = 1 / 3) -> CauchyProblem:
+    return CauchyProblem(A=A, x0=x0, t0=t0, order=approximate_order(alpha, tol=1e-12))
 
 
 def test_residual_exact_exponential_alpha_one():
-    traj = _exp_traj(-2.0, 0.01, 1.0)
-    gl = residual_nev(traj, [[-2.0]], 1.0, skip=1)
-    # First-order backward difference: truncation ~ h/2 * max|x''| = 0.02.
-    assert gl.nev <= 0.5 * 0.01 * 4.0 * 1.05
-    exact = residual_nev(traj, [[-2.0]], 1.0, skip=1, differencing="exact_exp")
-    assert exact.nev <= 1e-10
+    # At alpha = 1, GL is the first backward difference: truncation
+    # ~ h/2 * max|x''| = 0.02 on the exact exponential.  The study's
+    # alpha = 1 row uses an exact differentiator instead (see
+    # test_study_alpha_one_row_is_machine_exact).
+    t = 0.01 * np.arange(1, 101)
+    traj = Trajectory(times=t, states=np.exp(-2.0 * t))
+    nev = residual_nev(_problem([[-2.0]], [1.0], alpha=1.0), traj)
+    assert nev <= 0.5 * 0.01 * 4.0 * 1.05
 
 
 def test_residual_constant_trajectory_zero_matrix():
+    # x = x0 is the solution for A = 0 at every order: x - x0 is 0.
     t = 0.01 * np.arange(1, 51)
     traj = Trajectory(times=t, states=np.ones((50, 2)))
-    report = residual_nev(traj, np.zeros((2, 2)), 1.0, skip=1)
-    assert report.nev == 0.0
+    for alpha in (1 / 3, 1.0):
+        assert residual_nev(_problem(np.zeros((2, 2)), [1.0, 1.0], alpha=alpha), traj) == 0.0
 
 
-def test_residual_skip_invariance():
-    traj = _exp_traj(-2.0, 0.01, 1.0)
-    # The GL error peaks at the first grid point; skipping it changes nev,
-    # but adding MORE skipped points beyond the argmax does not increase it.
-    r1 = residual_nev(traj, [[-2.0]], 0.5, skip=1)
-    r5 = residual_nev(traj, [[-2.0]], 0.5, skip=5)
-    assert r5.nev <= r1.nev
+@pytest.mark.parametrize("alpha", [1 / 3, 3 / 7])
+def test_residual_is_caputo_derivative_of_a_ramp(alpha):
+    # x = x0 + (t - t0), A = 0: the residual is D^alpha of u = t - t0,
+    # u^(1 - alpha)/Gamma(2 - alpha), largest at u_K; GL is O(h) there.
+    # The lower terminal is t0 and x0 drops out, so neither moves nev.
+    errors = []
+    for h in (0.01, 0.005):
+        u = h * np.arange(1, int(round(1.0 / h)) + 1)
+        exact = u[-1] ** (1.0 - alpha) / math.gamma(2.0 - alpha)
+        nevs = [residual_nev(_problem([[0.0]], [x0], t0, alpha),
+                             Trajectory(times=t0 + u, states=x0 + u))
+                for x0 in (0.0, 5.0) for t0 in (0.0, 0.3)]
+        assert max(nevs) - min(nevs) <= 1e-12
+        errors.append(abs(nevs[0] - exact))
+        assert errors[-1] <= h
+    assert errors[1] < errors[0]
+
+
+def test_residual_of_a_diagonal_system_is_the_worse_component():
+    # Components of a diagonal system are separate scalar problems; the
+    # max-abs residual is the larger of theirs, bit for bit.
+    order = approximate_order(3 / 7, tol=1e-12)
+    grid = 0.2 + 0.01 * np.arange(1, 101)
+    lams, x0 = (-2.0, 0.7), (1.0, -0.5)
+    scalar = [solve_scalar_quad(lam, y0, order, 0.2, grid) for lam, y0 in zip(lams, x0)]
+    each = [residual_nev(CauchyProblem(A=[[lam]], x0=[y0], t0=0.2, order=order), traj)
+            for lam, y0, traj in zip(lams, x0, scalar)]
+    stacked = Trajectory(times=grid, states=np.column_stack([t.values for t in scalar]))
+    problem = CauchyProblem(A=np.diag(lams), x0=x0, t0=0.2, order=order)
+    assert residual_nev(problem, stacked) == max(each)
+
+
+@pytest.mark.parametrize("backend", [Quadrature.RECTANGLE, Quadrature.SIMPSON])
+def test_study_nev_is_residual_nev(backend):
+    a, x0, t0, h, K = -2.0, 1.5, 0.3, 0.01, 100
+    rows = convergence_study(a, [1 / 3, 3 / 7], t0=t0, t_end=t0 + K * h, h=h,
+                             backend=backend, x0=x0)
+    grid = t0 + h * np.arange(1, K + 1)
+    solve = solve_scalar_rect if backend is Quadrature.RECTANGLE else solve_scalar_quad
+    for row in rows:
+        order = approximate_order(row.alpha)
+        traj = solve(a, x0, order, t0, grid)
+        assert row.nev == residual_nev(CauchyProblem(A=[[a]], x0=[x0], t0=t0, order=order), traj)
+        # Bit for bit the residual with the study's own h, which the
+        # residual recovers from the grid as (t_K - t0)/K.
+        d = gl_derivative(np.concatenate(([0.0], traj.values - x0)), order.value, h)[1:]
+        assert row.nev == float(np.max(np.abs(d - a * traj.values)[1:]))
 
 
 def test_residual_validation():
-    traj = _exp_traj(-2.0, 0.01, 1.0)
-    with pytest.raises(DomainError):
-        residual_nev(traj, [[-2.0]], 0.5, skip=1000)
+    problem = _problem([[0.0]], [1.0], t0=0.0)
     irregular = Trajectory(times=[0.1, 0.2, 0.5], states=np.ones((3, 1)))
     with pytest.raises(NonUniformGridError):
-        residual_nev(irregular, [[0.0]], 0.5)
-    alternating = Trajectory(
-        times=[0.1, 0.2, 0.3], states=np.array([1.0, -1.0, 1.0])[:, None]
-    )
+        residual_nev(problem, irregular)
+    # Uniform, but not starting one step after t0.
+    late = Trajectory(times=[0.2, 0.3, 0.4], states=np.ones((3, 1)))
+    with pytest.raises(NonUniformGridError):
+        residual_nev(problem, late)
     with pytest.raises(DomainError):
-        residual_nev(alternating, [[0.0]], 1.0, differencing="exact_exp")
+        residual_nev(problem, Trajectory(times=[0.1], states=np.ones((1, 1))))
+    with pytest.raises(DomainError):
+        residual_nev(problem, Trajectory(times=[0.1, 0.2], states=np.ones((2, 2))))
+    # The study's alpha = 1 differentiator needs nonzero samples: x0 = 0
+    # gives 0/0.
+    with pytest.raises(DomainError):
+        convergence_study(-2.0, [1.0], t0=0.0, t_end=0.5, h=0.01, x0=0.0)
 
 
 # ---------------------------------------------------------------- stability

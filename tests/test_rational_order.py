@@ -152,9 +152,8 @@ def test_search_matches_plain_scan(alpha, log_tol, q_max):
     assert _searched(alpha, tol, q_max) == _scan(alpha, tol, q_max)
 
 
-# The scalar prefix ends at q = 15 and the numpy blocks run over q = 16..31,
-# 32..63, ..., 32768..65535, then 2^16 wide from 65536
-# (rational_order.SCAN_PREFIX, MAX_BLOCK).
+# The numpy blocks run over q = 0..15, 16..31, 32..63, ..., 32768..65535,
+# then 2^16 wide from 65536 (rational_order.MAX_BLOCK).
 @pytest.mark.parametrize("alpha,tol,q_max", [
     (1.0, 1e-12, 1), (29 / 31, 1e-13, 10**3), (29 / 33, 1e-13, 10**3),
     (61 / 63, 1e-13, 10**3), (63 / 65, 1e-13, 10**3),

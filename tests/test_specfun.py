@@ -129,8 +129,11 @@ def test_ml_at_zero_is_inverse_gamma_beta():
     assert mittag_leffler(MLParams(alpha=0.5, beta=0.5), 0.0) == pytest.approx(
         1.0 / math.gamma(0.5), rel=1e-14
     )
-    # Gamma(-200.5) underflows to 0, so 1/Gamma is 0 (not a division by 0).
-    assert mittag_leffler(MLParams(alpha=0.5, beta=-200.5), 0.0) == 0.0
+    # Gamma(-200.5) underflows to -0.0 and Gamma(-171.5) is subnormal: 1/Gamma
+    # (-3.56e375 at -200.5) is beyond double range, so both raise.
+    for beta in (-200.5, -171.5):
+        with pytest.raises(NonConvergenceError, match="k=0"):
+            mittag_leffler(MLParams(alpha=0.5, beta=beta), 0.0)
     # Gamma(1/3), frozen from a 50-digit computation.
     assert mittag_leffler(MLParams(alpha=0.5, beta=1 / 3), 0.0) == pytest.approx(
         1.0 / FIXTURE["gamma_one_third"], rel=1e-13
@@ -240,19 +243,38 @@ def _matches_reference(params, zs):
 
 @pytest.mark.parametrize("alpha, beta", [(0.5, -0.5), (0.5, -1.0), (0.5, -3.5)])
 def test_ml_pole_mid_series_matches_reference(alpha, beta):
-    # A pole's term is 0, so the scalar loop stops there; so must the array call.
+    # A pole's term is 0, and the series must not stop there.
     got = _matches_reference(MLParams(alpha, beta), [0.7, -1.3, 2.5, 0.0, -0.0])
     assert isinstance(got, np.ndarray)
 
 
+def _mpmath_ml(alpha, beta, z):
+    """E_{alpha,beta}(z), its first 600 terms summed by mpmath at 40 digits
+    (rgamma is 0 at poles); the tail is below 1e-200 for the cases here."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a, b, x = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(z)
+        return float(mpmath.fsum(x ** k * mpmath.rgamma(a * k + b) for k in range(600)))
+
+
+@pytest.mark.parametrize("alpha, beta, z", [
+    (0.5, -0.5, 0.7), (0.5, -0.5, -1.3), (0.5, -0.5, 2.5),
+    (0.5, -1.0, 0.7), (0.5, -3.5, 2.5), (1 / 3, -1.0, 1.5),
+])
+def test_ml_pole_mid_series_matches_mpmath(alpha, beta, z):
+    # The parent stopped at the first pole: E_{1/2,-1/2}(0.7) read 1/Gamma(-1/2)
+    # = -0.28209479177387814 where the value is 0.93373292534305388.
+    got = mittag_leffler(MLParams(alpha, beta), z)
+    assert got == pytest.approx(_mpmath_ml(alpha, beta, z), rel=1e-12)
+
+
 def test_ml_gamma_beta_underflow_matches_reference():
-    # Gamma(-200.5) is -0.0: the first term is 0.  At z = 0 the value is
-    # that 0 (the scalar loop divided by it); at alpha = 100 the later
-    # terms are finite and the sum is not 0.
-    assert mittag_leffler(MLParams(alpha=100.0, beta=-200.5), 0.0) == 0.0
-    got = _matches_reference(MLParams(alpha=100.0, beta=-200.5), [0.5, -0.5, 3.0])
-    assert isinstance(got, np.ndarray) and np.all(got != 0.0)
-    assert _matches_reference(MLParams(alpha=0.5, beta=-200.5), [0.7, -0.3])[0] == 0.0
+    # Gamma(-200.5) is -0.0 and Gamma(-171.5) is subnormal, so the first
+    # term 1/Gamma(beta) is beyond double range and every z raises at k = 0.
+    for params in (MLParams(100.0, -200.5), MLParams(0.5, -200.5), MLParams(0.5, -171.5)):
+        for z in (0.0, 0.5, -0.5, 3.0):
+            error, message = _matches_reference(params, [z])
+            assert error is NonConvergenceError and "k=0" in message
 
 
 def test_ml_lgamma_branch_matches_reference():
