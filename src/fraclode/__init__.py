@@ -37,8 +37,6 @@ from .linalg import (
     SpectralDecomposition,
     eig_real_simple,
     expm,
-    frac_power,
-    perturb_to_simple,
 )
 from .rational_order import FractionalOrder, approximate_order
 from .solver import (
@@ -52,9 +50,8 @@ from .solver import (
     solve_matrix,
     solve_scalar_quad,
     solve_scalar_rect,
-    solve_via_spectral,
 )
-from .specfun import MLParams, mittag_leffler, rpow
+from .specfun import MLParams, mittag_leffler
 
 __version__ = "0.1.0"
 
@@ -66,9 +63,9 @@ __all__ = [
     "FraclodeError",
     "FractionalOrder",
     "MLParams",
+    "NoRepresentationError",
     "NonConvergenceError",
     "NonUniformGridError",
-    "NoRepresentationError",
     "OrderDomainError",
     "OverflowError_",
     "Quadrature",
@@ -86,18 +83,14 @@ __all__ = [
     "convergence_study",
     "eig_real_simple",
     "expm",
-    "frac_power",
     "gl_derivative",
     "gl_weights",
     "mittag_leffler",
-    "perturb_to_simple",
     "residual_nev",
-    "rpow",
     "scalar_closed_form",
     "solve_limit_perturbation",
     "solve_matrix",
     "solve_scalar_quad",
     "solve_scalar_rect",
-    "solve_via_spectral",
     "stability_verdict",
 ]

@@ -100,19 +100,16 @@ def _load_json(path: str) -> dict:
 
 
 def _parse_matrix(spec: dict, field: str, required: bool = True):
+    """A nonempty square JSON list of rows, each entry checked by `_number`."""
     if field not in spec:
         if required:
             raise SchemaError(field, "missing required field")
         return None
-    try:
-        m = np.asarray(spec[field], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(field, f"not a numeric matrix: {exc}") from exc
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise SchemaError(field, f"must be a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise SchemaError(field, "entries must be finite")
-    return m
+    rows = spec[field]
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(row, list) and len(row) == len(rows) for row in rows)):
+        raise SchemaError(field, f"must be a square matrix, got {json.dumps(rows)}")
+    return np.array([[_number(v, field) for v in row] for row in rows])
 
 
 def _parse_grid(spec: dict, t0: float) -> np.ndarray:
@@ -235,9 +232,9 @@ def cmd_table(args) -> int:
     if not (isinstance(interval, list) and len(interval) == 2):
         raise SchemaError("interval", "must be [start, end]")
     start, end = _numbers(interval, "interval")
-    h = args.h if args.h is not None else _number(_require(spec, "h"), "h")
-    if h <= 0.0 or end <= start:
-        raise SchemaError("h", "need h > 0 and end > start")
+    if end <= start:
+        raise SchemaError("interval", "need end > start")
+    h = _positive(args.h if args.h is not None else _require(spec, "h"), "h")
     if (end - start) / h > MAX_GRID_POINTS - 1:
         raise SchemaError("h", f"the study grid would exceed {MAX_GRID_POINTS} points")
     method = _parse_method(args.method if args.method is not None

@@ -1,10 +1,12 @@
-"""Dense real small-matrix kernels.
+"""Dense real small-matrix kernels: the eigendecomposition behind the
+spectral solves (q > 0) and the matrix exponential behind alpha = 1.
 
 Everything here operates on plain numpy arrays (square, finite, real).
 Eigendecomposition is restricted to the distinct-real-spectrum case; any
 complex or clustered spectrum is an error, never a silent complex path.
 Matrices with repeated real eigenvalues are handled upstream through the
-eps-perturbation ladder.
+eps-perturbation ladder.  Fractional powers of A are never formed: the
+solver raises the eigenvalues to them.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from .errors import (
     DomainError,
     OverflowError_,
     SingularEigenvectorsError,
-    ZeroEigenvalueError,
 )
-from .specfun import rpow
 
 #: Relative imaginary-part tolerance separating "real" from complex spectra.
 IMAG_TOL_SCALE = 1e-9
+#: Relative gap at or below which two eigenvalues count as clustered.
+GAP_TOL_SCALE = 1e-8
 #: Acceptance bound for T * T^{-1} - I and the reconstruction residual.
 RECON_TOL = 1e-8
 
@@ -44,10 +46,6 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if np.size(a) else 0.0
 
 
-def default_gap_tol(A) -> float:
-    return 1e-8 * (1.0 + max_abs(A))
-
-
 @dataclass
 class SpectralDecomposition:
     """A = T diag(lambdas) T^{-1} with pairwise-distinct real eigenvalues."""
@@ -57,23 +55,18 @@ class SpectralDecomposition:
     T_inv: np.ndarray
     recon_error: float
 
-    @property
-    def n(self) -> int:
-        return len(self.lambdas)
 
-
-def eig_real_simple(A, gap_tol: float | None = None) -> SpectralDecomposition:
+def eig_real_simple(A) -> SpectralDecomposition:
     """Eigendecomposition for matrices with distinct real eigenvalues.
 
     Eigenvalues come back sorted ascending; eigenvector columns are
     normalized with a fixed sign convention so results are reproducible.
+    A gap of at most GAP_TOL_SCALE * (1 + max|A|) between two eigenvalues
+    raises ClusteredSpectrumError.
     """
     A = as_matrix(A)
-    if gap_tol is None:
-        gap_tol = default_gap_tol(A)
-    if gap_tol <= 0.0:
-        raise DomainError(f"gap_tol must be positive, got {gap_tol}")
     scale = 1.0 + max_abs(A)
+    gap_tol = GAP_TOL_SCALE * scale
 
     w, V = np.linalg.eig(A)
     if np.max(np.abs(w.imag)) > IMAG_TOL_SCALE * scale:
@@ -128,21 +121,15 @@ PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 THETA13 = 5.371920351148152
 
 
-#: expm evaluates a stack in blocks of at most this many entries, which
-#: bounds its Pade temporaries (about ten arrays of the block's size).
-EXPM_BLOCK_ELEMENTS = 2 ** 13
-
-
 def expm(A) -> np.ndarray:
     """Matrix exponential by [13/13] Pade scaling and squaring (Higham 2005).
 
     Works for arbitrary real square matrices; no diagonalizability needed.
-    A is one (n, n) matrix or a (..., n, n) stack; each matrix is scaled by
+    A is one (n, n) matrix or a (..., n, n) stack, evaluated all at once
+    (about ten temporaries of the stack's size); each matrix is scaled by
     its own 2^-s so that its 1-norm is at most THETA13, the approximant
     r(B) = (V - U)^-1 (V + U) is formed, and squared s times.  Zero
-    matrices give the identity exactly.  A stack goes through in blocks of
-    at most EXPM_BLOCK_ELEMENTS entries (at least one matrix each), so the
-    memory beyond the result does not grow with the stack.
+    matrices give the identity exactly.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
@@ -150,22 +137,12 @@ def expm(A) -> np.ndarray:
     if not np.isfinite(A).all():
         raise DomainError("matrix entries must be finite")
     n = A.shape[-1]
-    flat = A.reshape(math.prod(A.shape[:-2]), n, n)  # -1 is ambiguous at n = 0
-    E = np.empty_like(flat)
-    step = max(1, EXPM_BLOCK_ELEMENTS // max(1, n * n))
-    for i in range(0, len(flat), step):
-        E[i:i + step] = _expm_block(flat[i:i + step])
-    return E.reshape(A.shape)
-
-
-def _expm_block(A: np.ndarray) -> np.ndarray:
-    """expm of a finite (k, n, n) stack, all at once."""
-    n = A.shape[-1]
+    B = A.reshape(math.prod(A.shape[:-2]), n, n)  # -1 is ambiguous at n = 0
     ident = np.eye(n)
-    norm = np.max(np.sum(np.abs(A), axis=-2), axis=-1, initial=0.0)
+    norm = np.max(np.sum(np.abs(B), axis=-2), axis=-1, initial=0.0)
     with np.errstate(divide="ignore"):
         s = np.maximum(0, np.ceil(np.log2(norm / THETA13))).astype(int)
-    B = np.ldexp(A, -s[..., None, None])
+    B = np.ldexp(B, -s[..., None, None])
     b = PADE13
     B2 = B @ B
     B4 = B2 @ B2
@@ -182,44 +159,4 @@ def _expm_block(A: np.ndarray) -> np.ndarray:
     E[norm == 0.0] = ident
     if not np.isfinite(E).all():
         raise OverflowError_("matrix exponential overflowed floating range")
-    return E
-
-
-#: Eigenvalues below this (relative) threshold block negative powers.
-ZERO_EIG_TOL_SCALE = 1e-12
-
-
-def powers_from_decomposition(dec: SpectralDecomposition, num: int, den: int,
-                              zero_tol: float) -> np.ndarray:
-    """T diag(rpow(lambda_i, num, den)) T^{-1} for a precomputed decomposition."""
-    if num < 0 and np.min(np.abs(dec.lambdas)) < zero_tol:
-        raise ZeroEigenvalueError(
-            f"negative power {num}/{den} with eigenvalue of magnitude "
-            f"{np.min(np.abs(dec.lambdas)):.3e}"
-        )
-    d = np.array([rpow(lam, num, den) for lam in dec.lambdas])
-    return dec.T @ (d[:, None] * dec.T_inv)
-
-
-def frac_power(A, num: int, den: int, gap_tol: float | None = None) -> np.ndarray:
-    """Real fractional matrix power A^{num/den} for odd den.
-
-    Spectral route: requires distinct real eigenvalues.  Negative
-    eigenvalues get the real odd den-th root, so the result stays real.
-    """
-    A = as_matrix(A)
-    dec = eig_real_simple(A, gap_tol)
-    zero_tol = ZERO_EIG_TOL_SCALE * (1.0 + max_abs(A))
-    return powers_from_decomposition(dec, num, den, zero_tol)
-
-
-def perturb_to_simple(A, B, eps: float) -> np.ndarray:
-    """A + eps*B.  Verifying that the result has a simple real spectrum is
-    the caller's job (solve_limit_perturbation does it for the ladder)."""
-    A = as_matrix(A)
-    B = as_matrix(B)
-    if B.shape != A.shape:
-        raise DomainError(f"B shape {B.shape} does not match A shape {A.shape}")
-    if eps < 0.0:
-        raise DomainError(f"eps must be nonnegative, got {eps}")
-    return A + eps * B
+    return E.reshape(A.shape)

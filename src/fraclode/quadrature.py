@@ -1,9 +1,5 @@
-"""Quadrature rules: Gauss–Jacobi rules for the weight s^(a-1) on (0, 1),
-and adaptive Simpson for scalar- or array-valued smooth integrands.
-
-The Simpson solver backend integrates each weakly singular convolution
-term with `gauss_jacobi`; `adaptive_simpson` is the general-purpose
-integrator it used before.
+"""Gauss–Jacobi rules for the weight s^(a-1) on (0, 1), with which the
+Simpson solver backend integrates each weakly singular convolution term.
 """
 
 from __future__ import annotations
@@ -52,6 +48,7 @@ def _err(a) -> float:
     return float(np.max(np.abs(a)))
 
 
+# No solve calls adaptive_simpson; it stays only because perfbench/tracing.py wraps it.
 def adaptive_simpson(f: Callable[[float], "np.ndarray | float"], a: float, b: float,
                      tol: float, max_depth: int = MAX_DEPTH):
     """Integral of f over [a, b] with |error| (max-abs) roughly <= tol."""

@@ -82,8 +82,10 @@ def _screened_qs(alpha: float, tol: float, q_max: int):
     at most tol (q + 1/2).  That distance changes by no more than the
     float error of x, and the float errors of `_best_at` are below 2^-52;
     ROUNDING_SLACK covers both, so no q that `_best_at` accepts is skipped.
+    A tol above 1 screens as 1, which keeps half_den * bound finite: q = 0
+    passes either way, and `_best_at` accepts it, since |1 - alpha| < 1.
     """
-    bound = tol + ROUNDING_SLACK
+    bound = min(tol, 1.0) + ROUNDING_SLACK
     q_lo, width = 0, 16
     while q_lo <= q_max:
         q_hi = min(q_lo + width, q_max + 1)

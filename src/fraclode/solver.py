@@ -68,15 +68,7 @@ from .errors import (
     QuadratureFailureError,
     ZeroEigenvalueError,
 )
-from .linalg import (
-    EXPM_BLOCK_ELEMENTS,
-    ZERO_EIG_TOL_SCALE,
-    as_matrix,
-    eig_real_simple,
-    expm,
-    max_abs,
-    perturb_to_simple,
-)
+from .linalg import as_matrix, eig_real_simple, expm, max_abs
 from .quadrature import gauss_jacobi
 from .rational_order import FractionalOrder
 from .specfun import MLParams, exp_section, mittag_leffler
@@ -92,6 +84,11 @@ MAX_LATTICE_SIZE = 10 ** 6
 GJ_MIN_NODES = 16
 GJ_MAX_NODES = 256
 GJ_BLOCK_ELEMENTS = 2 ** 13
+#: classical_exponential passes expm blocks of at most this many entries,
+#: which bounds its Pade temporaries (about ten arrays of the block's size).
+EXPM_BLOCK_ELEMENTS = 2 ** 13
+#: solve_matrix rejects eigenvalues below this, relative to 1 + max|A|.
+ZERO_EIG_TOL_SCALE = 1e-12
 
 
 class Quadrature(Enum):
@@ -421,7 +418,7 @@ def solve_scalar_quad(lam: float, y0: float, order: FractionalOrder, t0: float,
 
 
 def scalar_closed_form(lam: float, y0: float, order: FractionalOrder, t0: float,
-                       times, tail_tol: float = 1e-16) -> Trajectory:
+                       times) -> Trajectory:
     """Mittag-Leffler closed form y(t) = y0 * E_alpha(lambda (t-t0)^alpha).
 
     alpha = (2p+1)/(2q+1), evaluated by the series in `mittag_leffler`:
@@ -434,7 +431,7 @@ def scalar_closed_form(lam: float, y0: float, order: FractionalOrder, t0: float,
     if lam == 0.0:
         raise ZeroEigenvalueError("lambda = 0 is outside the solver's domain")
     times = _check_times(times, t0)
-    params = MLParams(alpha=order.value, tail_tol=tail_tol)
+    params = MLParams(alpha=order.value)
     z = np.array([lam * (t - t0) ** order.value for t in times])
     out = y0 * mittag_leffler(params, z)
     return Trajectory(times=times, states=out[:, None])
@@ -479,7 +476,7 @@ def solve_matrix(problem: CauchyProblem, config: SolveConfig) -> Trajectory:
     return Trajectory(times=times, states=(Y * (dec.T_inv @ problem.x0)) @ dec.T.T)
 
 
-#: Alias of solve_matrix, kept for callers of the older name.
+#: Alias of solve_matrix, kept only because perfbench/tracing.py wraps it.
 solve_via_spectral = solve_matrix
 
 
@@ -499,10 +496,12 @@ def solve_limit_perturbation(problem: CauchyProblem, B, eps_ladder,
     if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise DomainError("eps ladder must be strictly decreasing")
     B = as_matrix(B)
+    if B.shape != problem.A.shape:
+        raise DomainError(f"B shape {B.shape} does not match A shape {problem.A.shape}")
 
     trajs = []
     for eps in eps_ladder:
-        A_eps = perturb_to_simple(problem.A, B, eps)
+        A_eps = problem.A + eps * B
         if problem.order.q == 0:  # solve_matrix decomposes only for q > 0
             eig_real_simple(A_eps)  # raises ComplexSpectrum / ClusteredSpectrum
         rung = CauchyProblem(A=A_eps, x0=problem.x0, t0=problem.t0,

@@ -1,5 +1,5 @@
-"""Scalar special functions: real odd-root powers, the m-sections of the
-exponential, and a series-based Mittag-Leffler evaluator.
+"""Scalar special functions: the m-sections of the exponential and a
+series-based Mittag-Leffler evaluator.
 
 The Mittag-Leffler routine is deliberately independent of the solver
 modules; it serves as the reference oracle the solution formulas are
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, ZeroEigenvalueError
+from .errors import DomainError, NonConvergenceError
 
 #: Documented accuracy domain for the plain power series.
 ML_MAX_ABS_Z = 30.0
@@ -24,25 +24,6 @@ ML_ROUNDING_TOL = 1e-10
 #: Past the peak term, exp_section stops once a term is below SECTION_TOL
 #: times the partial sum.
 SECTION_TOL = 1e-17
-
-
-def rpow(x: float, num: int, den: int) -> float:
-    """Real odd-root power sign(x)^num * |x|^(num/den).
-
-    den must be a positive odd integer, which makes the den-th real root
-    well defined for negative x.  This is the mechanism that keeps the
-    whole solution representation real for negative eigenvalues.
-    """
-    if den <= 0 or den % 2 == 0:
-        raise DomainError(f"den must be a positive odd integer, got {den}")
-    if x == 0.0:
-        if num < 0:
-            raise ZeroEigenvalueError("negative power of zero")
-        return 1.0 if num == 0 else 0.0
-    mag = abs(x) ** (num / den)
-    if x < 0.0 and num % 2 != 0:
-        return -mag
-    return mag
 
 
 def exp_section(x, m: int, j: int) -> np.ndarray:

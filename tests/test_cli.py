@@ -88,6 +88,27 @@ def test_solve_non_numeric_field_is_schema_error(tmp_path, capsys, field, value)
     assert f"'{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["A", "B"])
+@pytest.mark.parametrize("entry", ["-2", True, None, [1.0], float("inf")])
+def test_solve_non_numeric_matrix_entry_is_schema_error(tmp_path, capsys, field, entry):
+    from fraclode.cli import main
+
+    payload = dict(BASIC_SPEC, B=[[1.0]], eps_ladder=[1e-2, 1e-3])
+    payload[field] = [[entry]]
+    spec = write_spec(tmp_path, "p.json", payload)
+    assert main(["solve", "--config", spec, "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("matrix", [[["-2"]], [[True]], [[1.0, 0.0], [0.0]], [], [[]], -2.0])
+def test_stability_malformed_matrix_is_schema_error(tmp_path, capsys, matrix):
+    from fraclode.cli import main
+
+    spec = write_spec(tmp_path, "s.json", {"A": matrix})
+    assert main(["stability", "--config", spec]) == 2
+    assert "'A'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", ["tol", "simpson_tol"])
 def test_solve_nonpositive_tolerance_is_schema_error(tmp_path, capsys, field):
     from fraclode.cli import main
@@ -237,6 +258,17 @@ def test_table_method_and_h_overrides(tmp_path):
     assert result.returncode == 0, result.stderr
     _, rows = read_csv(out)
     assert rows.shape == (1, 3)
+
+
+@pytest.mark.parametrize("h", ["nan", "inf", "0"])
+def test_table_h_override_like_spec_h(tmp_path, capsys, h):
+    # --h is checked by the rule of the spec's h: a finite positive number.
+    from fraclode.cli import main
+
+    case = {"a": -2.0, "alphas": [1 / 3], "interval": [0.02, 0.5], "h": 0.02}
+    spec = write_spec(tmp_path, "case.json", case)
+    assert main(["table", "--config", spec, "--out", str(tmp_path / "t.csv"), "--h", h]) == 2
+    assert "'h'" in capsys.readouterr().err
 
 
 def test_table_empty_alphas_is_schema_error(tmp_path):

@@ -1,7 +1,6 @@
 """Tests for the dense real small-matrix kernels."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,13 +10,10 @@ from fraclode import (
     ComplexSpectrumError,
     DomainError,
     OverflowError_,
-    ZeroEigenvalueError,
     eig_real_simple,
     expm,
-    frac_power,
-    perturb_to_simple,
 )
-from fraclode.linalg import EXPM_BLOCK_ELEMENTS, THETA13, as_matrix, max_abs
+from fraclode.linalg import THETA13, as_matrix, max_abs
 
 
 def _random_simple(rng, n):
@@ -110,27 +106,6 @@ def test_expm_stack_matches_per_matrix_calls():
     assert all(np.array_equal(E, np.eye(4)) for E in got[1])
 
 
-def test_expm_blocks_its_stack():
-    # A (2000, 20, 20) stack goes through in blocks of EXPM_BLOCK_ELEMENTS
-    # entries, 20 matrices each.  Each block equals its own call, and the
-    # memory beyond the 6.4 MB result stays near one block's temporaries
-    # (about 0.7 MB) instead of ten arrays of the stack's size.
-    rng = np.random.default_rng(5)
-    base = rng.standard_normal((20, 20)) / 4
-    stack = np.linspace(0.01, 3.0, 2000)[:, None, None] * base
-    tracemalloc.start()
-    try:
-        got = expm(stack)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - got.nbytes < 2e6
-    step = EXPM_BLOCK_ELEMENTS // base.size
-    assert step == 20
-    for i in range(0, len(stack), step):
-        assert np.array_equal(got[i:i + step], expm(stack[i:i + step]))
-
-
 def test_expm_rejects_non_square_stacks():
     for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((4, 2, 3))):
         with pytest.raises(DomainError):
@@ -171,64 +146,3 @@ def test_expm_semigroup():
         for s, t in ((0.3, 0.7), (0.7, 0.3)):
             gap = max_abs(expm(s * A) @ expm(t * A) - expm((s + t) * A))
             assert gap <= 1e-8
-
-
-# ---------------------------------------------------------------- frac_power
-
-
-def test_frac_power_odd_cube_root():
-    got = frac_power(np.diag([8.0, -27.0]), 1, 3)
-    assert max_abs(got - np.diag([2.0, -3.0])) <= 1e-12
-
-
-def test_frac_power_identity_and_inverse_exponent():
-    A, _ = _random_simple(np.random.default_rng(3), 3)
-    assert max_abs(frac_power(A, 1, 1) - A) <= 1e-10
-    got = frac_power(np.diag([4.0, 9.0]), -1, 1)
-    assert max_abs(got - np.diag([0.25, 1.0 / 9.0])) <= 1e-14
-
-
-def test_frac_power_cube_consistency():
-    rng = np.random.default_rng(5)
-    for n in (2, 3, 4):
-        A, _ = _random_simple(rng, n)
-        R = frac_power(A, 1, 3)
-        assert max_abs(R @ R @ R - A) <= 1e-8
-
-
-def test_frac_power_integer_multiple_of_den():
-    A, _ = _random_simple(np.random.default_rng(9), 3)
-    assert max_abs(frac_power(A, 6, 3) - A @ A) <= 1e-8
-
-
-def test_frac_power_errors():
-    with pytest.raises(DomainError):
-        frac_power(np.diag([1.0, 2.0]), 1, 2)  # even denominator
-    with pytest.raises(ZeroEigenvalueError):
-        frac_power(np.diag([0.0, 1.0]), -1, 1)
-
-
-# ---------------------------------------------------------------- perturb
-
-
-def test_perturb_to_simple():
-    A = np.array([[1.0, 1.0], [0.0, 1.0]])
-    got = perturb_to_simple(A, np.diag([0.0, 1.0]), 1e-3)
-    assert max_abs(got - [[1.0, 1.0], [0.0, 1.001]]) <= 1e-15
-    dec = eig_real_simple(got)
-    assert dec.lambdas == pytest.approx([1.0, 1.001], abs=1e-12)
-    assert max_abs(perturb_to_simple(A, np.zeros((2, 2)), 0.5) - A) == 0.0
-
-
-def test_perturb_cannot_realify_rotation():
-    rot = [[0.0, 1.0], [-1.0, 0.0]]
-    perturbed = perturb_to_simple(rot, np.diag([1.0, 0.0]), 1e-3)
-    with pytest.raises(ComplexSpectrumError):
-        eig_real_simple(perturbed)
-
-
-def test_perturb_validation():
-    with pytest.raises(DomainError):
-        perturb_to_simple(np.eye(2), np.eye(3), 1e-3)
-    with pytest.raises(DomainError):
-        perturb_to_simple(np.eye(2), np.eye(2), -1.0)

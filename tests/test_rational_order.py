@@ -1,7 +1,9 @@
 """Tests for the odd-over-odd rational order representation."""
 
 import math
+import sys
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,15 @@ def test_idempotence_on_exact_rationals(p, q):
     order = approximate_order(alpha, tol=1e-15, q_max=10**4)
     assert order.achieved_error <= 1e-15
     assert abs(order.value - alpha) <= 1e-15
+
+
+@pytest.mark.parametrize("tol", [1.0, 1.1e307, 1e308, sys.float_info.max])
+def test_tol_of_one_or_more_gives_alpha_one_without_overflow(tol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        order = approximate_order(0.3, tol=tol)
+    assert (order.p, order.q) == (0, 0)
+    assert order.achieved_error == pytest.approx(0.7)
 
 
 def test_alpha_domain_errors():

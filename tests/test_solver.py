@@ -31,12 +31,18 @@ from fraclode import (
     solve_matrix,
     solve_scalar_quad,
     solve_scalar_rect,
-    solve_via_spectral,
 )
 from fraclode.linalg import eig_real_simple, expm
-from fraclode.solver import MAX_LATTICE_SIZE, TERM_TOL, _fft_size, _rect_lattice, _terms
+from fraclode.solver import (
+    MAX_LATTICE_SIZE,
+    TERM_TOL,
+    _fft_size,
+    _modes,
+    _rect_lattice,
+    _terms,
+)
 from fraclode.rational_order import FractionalOrder
-from fraclode.specfun import MLParams, exp_section, rpow
+from fraclode.specfun import MLParams, exp_section
 from ml_reference import per_point_ml
 
 FIXTURE = json.loads(
@@ -50,6 +56,13 @@ ORDER_1 = approximate_order(1.0, tol=1e-12, q_max=10)
 
 def _grid(h: float, t_end: float, t0: float = 0.0) -> np.ndarray:
     return t0 + h * np.arange(1, int(round((t_end - t0) / h)) + 1)
+
+
+def rpow(x: float, num: int, den: int) -> float:
+    """Real odd-root power sign(x)^num |x|^(num/den) of x != 0, den odd:
+    an independent reference for the solver's powers of eigenvalues."""
+    mag = abs(x) ** (num / den)
+    return -mag if x < 0.0 and num % 2 else mag
 
 
 # ------------------------------------------------------- closed-form oracle
@@ -371,7 +384,7 @@ def test_solution_tends_to_x0_near_t0():
     values = [
         scalar_closed_form(-2.0, 1.0, ORDER_13, 0.0, t).values[0],
         solve_scalar_quad(-2.0, 1.0, ORDER_13, 0.0, t).values[0],
-        solve_via_spectral(
+        solve_matrix(
             problem, SolveConfig(grid=t, quadrature=Quadrature.SIMPSON)
         ).values[0],
     ]
@@ -393,7 +406,7 @@ def test_spectral_matches_frozen_values():
             order=order,
         )
         config = SolveConfig(grid=[case["t"]], quadrature=Quadrature.SIMPSON)
-        got = solve_via_spectral(problem, config).states[0, 0]
+        got = solve_matrix(problem, config).states[0, 0]
         assert got == pytest.approx(case["value"], rel=1e-7)
 
 
@@ -449,6 +462,43 @@ def test_matrix_alpha_one_matches_expm():
         assert np.max(np.abs(got.states - ref.states)) <= 1e-10
 
 
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_modes_recompose_to_classical_exponential_at_alpha_one(data):
+    # A = T diag(lambda) T^-1 with distinct real lambda and a diagonally
+    # dominant T: T diag(_modes(lambda)) T^-1 x0 is expm(u A) x0.
+    n = data.draw(st.integers(1, 4))
+    lams = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    assume(np.all(np.abs(lams) >= 0.05) and np.all(np.diff(np.sort(lams)) >= 0.1))
+    entries = st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)
+    T = np.array(data.draw(entries)).reshape(n, n) + (n + 1.0) * np.eye(n)
+    x0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    assume(np.max(np.abs(x0)) >= 0.1)
+    problem = CauchyProblem(A=T @ np.diag(lams) @ np.linalg.inv(T), x0=x0, t0=0.0,
+                            order=ORDER_1)
+    grid = np.linspace(0.1, 2.0, 20)
+    _, Y = _modes(lams, ORDER_1, 0.0, grid, Quadrature.RECTANGLE, 1e-10)
+    got = (Y * np.linalg.solve(T, x0)) @ T.T
+    ref = classical_exponential(problem, grid).states
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@given(lam=st.floats(0.2, 2.0), sign=st.sampled_from([-1.0, 1.0]),
+       order=st.sampled_from([ORDER_13, ORDER_37]))
+@settings(max_examples=30, deadline=None)
+def test_rectangle_error_does_not_grow_as_h_shrinks(lam, sign, order):
+    # The rectangle rule's max error at t = 0.2, 0.4, ..., 1.0 against the
+    # Mittag-Leffler oracle, at h = 0.04 and at h = 0.01.
+    lam *= sign
+    t = np.array([0.2, 0.4, 0.6, 0.8, 1.0])
+    oracle = scalar_closed_form(lam, 1.0, order, 0.0, t).values
+    errors = []
+    for h in (0.04, 0.01):
+        values = solve_scalar_rect(lam, 1.0, order, 0.0, _grid(h, 1.0)).values
+        errors.append(np.max(np.abs(values[np.round(t / h).astype(int) - 1] - oracle)))
+    assert errors[1] <= errors[0]
+
+
 def _recompose(A, x0, scalar_solve):
     """T diag(y_i(t)) T^{-1} x0 from numpy's eigendecomposition of A, with
     y_i = scalar_solve(lambda_i, 1.0) the scalar trajectory per mode."""
@@ -475,7 +525,6 @@ def test_matrix_vs_spectral_cross_path():
     for quad, ref in refs.items():
         config = SolveConfig(grid=grid, quadrature=quad)
         assert np.max(np.abs(solve_matrix(problem, config).states - ref)) <= 1e-8
-        assert np.max(np.abs(solve_via_spectral(problem, config).states - ref)) <= 1e-8
 
 
 def test_matrix_vs_spectral_cross_path_third_order():
@@ -486,7 +535,6 @@ def test_matrix_vs_spectral_cross_path_third_order():
     ref = _recompose(
         A, x0, lambda lam, y0: scalar_closed_form(lam, y0, ORDER_13, 0.0, grid))
     assert np.max(np.abs(solve_matrix(problem, config).states - ref)) <= 1e-8
-    assert np.max(np.abs(solve_via_spectral(problem, config).states - ref)) <= 1e-8
 
 
 def test_batched_matrix_matches_scalar_recomposition():
@@ -765,14 +813,29 @@ def test_ladder_jordan_block_converges_to_expm():
 
 
 def test_ladder_rotation_raises_complex_spectrum():
-    problem = CauchyProblem(
-        A=[[0.0, 1.0], [-1.0, 0.0]], x0=[1.0, 0.0], t0=0.0, order=ORDER_1
-    )
-    with pytest.raises(ComplexSpectrumError):
-        solve_limit_perturbation(
-            problem, np.diag([1.0, 0.0]), [1e-2, 1e-3],
-            SolveConfig(grid=np.linspace(0.1, 1.0, 10)),
+    # The rungs' eigenvalues are eps/2 +- i sqrt(1 - eps^2/4): complex on
+    # the classical path (q = 0) and on the spectral one (q > 0).
+    for order in (ORDER_1, ORDER_13):
+        problem = CauchyProblem(
+            A=[[0.0, 1.0], [-1.0, 0.0]], x0=[1.0, 0.0], t0=0.0, order=order
         )
+        with pytest.raises(ComplexSpectrumError):
+            solve_limit_perturbation(
+                problem, np.diag([1.0, 0.0]), [1e-2, 1e-3],
+                SolveConfig(grid=np.linspace(0.1, 1.0, 10)),
+            )
+
+
+def test_ladder_rungs_solve_a_plus_eps_b():
+    # The Jordan block plus eps diag(0, 1) has the simple spectrum
+    # {1, 1 + eps}; the last rung is exactly the solve of that matrix.
+    A, B = np.array([[1.0, 1.0], [0.0, 1.0]]), np.diag([0.0, 1.0])
+    problem = CauchyProblem(A=A, x0=[1.0, 1.0], t0=0.0, order=ORDER_13)
+    config = SolveConfig(grid=_grid(0.01, 0.5))
+    traj, _ = solve_limit_perturbation(problem, B, [1e-2, 1e-3], config)
+    rung = CauchyProblem(A=A + 1e-3 * B, x0=[1.0, 1.0], t0=0.0, order=ORDER_13)
+    assert eig_real_simple(rung.A).lambdas == pytest.approx([1.0, 1.001], abs=1e-12)
+    assert np.array_equal(traj.states, solve_matrix(rung, config).states)
 
 
 def test_ladder_validation():
@@ -787,6 +850,8 @@ def test_ladder_validation():
         solve_limit_perturbation(problem, B, [1e-3, 1e-2], config)  # increasing
     with pytest.raises(DomainError):
         solve_limit_perturbation(problem, B, [1e-2, -1e-3], config)  # sign
+    with pytest.raises(DomainError, match="shape"):
+        solve_limit_perturbation(problem, np.eye(3), [1e-2, 1e-3], config)
 
 
 def test_ladder_growing_gaps_flagged():

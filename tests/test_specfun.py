@@ -1,5 +1,5 @@
-"""Tests for real odd-root powers, the sections of the exponential, and
-the Mittag-Leffler series."""
+"""Tests for the sections of the exponential and the Mittag-Leffler
+series."""
 
 import json
 import math
@@ -14,9 +14,7 @@ from fraclode import (
     DomainError,
     MLParams,
     NonConvergenceError,
-    ZeroEigenvalueError,
     mittag_leffler,
-    rpow,
 )
 from fraclode.specfun import exp_section
 from ml_reference import per_point_ml, per_point_outcome
@@ -65,52 +63,6 @@ def test_exp_section_partition_of_exp():
     assert total == pytest.approx(np.exp(x), rel=1e-13, abs=1e-13)
     with pytest.raises(DomainError):
         exp_section(x, 3, 3)
-
-
-# ---------------------------------------------------------------- rpow
-
-
-def test_rpow_odd_roots():
-    assert rpow(-27.0, 1, 3) == pytest.approx(-3.0, rel=1e-14)
-    assert rpow(8.0, 1, 3) == pytest.approx(2.0, rel=1e-14)
-    assert rpow(-2.0, 2, 3) == pytest.approx(2.0 ** (2 / 3), rel=1e-14)
-    assert rpow(5.0, 1, 1) == 5.0
-
-
-def test_rpow_zero_handling():
-    assert rpow(0.0, 0, 3) == 1.0
-    assert rpow(0.0, 2, 5) == 0.0
-    with pytest.raises(ZeroEigenvalueError):
-        rpow(0.0, -1, 3)
-
-
-def test_rpow_rejects_even_or_nonpositive_den():
-    with pytest.raises(DomainError):
-        rpow(2.0, 1, 2)
-    with pytest.raises(DomainError):
-        rpow(2.0, 1, 0)
-    with pytest.raises(DomainError):
-        rpow(2.0, 1, -3)
-
-
-@given(
-    x=st.floats(min_value=1e-3, max_value=1e3),
-    num=st.integers(-9, 9),
-    q=st.integers(0, 10),
-)
-@settings(max_examples=100, deadline=None)
-def test_rpow_sign_preservation(x, num, q):
-    den = 2 * q + 1
-    pos = rpow(x, num, den)
-    neg = rpow(-x, num, den)
-    assert pos > 0.0
-    # Odd numerator flips the sign with x; even numerator does not.
-    if num % 2 == 1:
-        assert neg == -pos
-    else:
-        assert neg == pos
-    # |result| is the real den-th root power.
-    assert abs(pos - x ** (num / den)) <= 1e-12 * max(1.0, abs(pos))
 
 
 # ---------------------------------------------------------------- mittag_leffler
