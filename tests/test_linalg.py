@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from fraclode import (
+    CauchyProblem,
     ClusteredSpectrumError,
     ComplexSpectrumError,
     DomainError,
     OverflowError_,
+    SolveConfig,
+    approximate_order,
     eig_real_simple,
     expm,
+    solve_limit_perturbation,
 )
 from fraclode.linalg import THETA13, as_matrix, max_abs
 
@@ -68,6 +72,26 @@ def test_as_matrix_validation():
         as_matrix([1.0, 2.0])
     with pytest.raises(DomainError):
         as_matrix([[1.0, math.inf], [0.0, 1.0]])
+
+
+# ---------------------------------------------------------- perturbation
+
+
+def test_perturb_cannot_realify_rotation():
+    # A ladder rung A + eps B of a rotation keeps a complex pair.
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    with pytest.raises(ComplexSpectrumError):
+        eig_real_simple(rot + 1e-3 * np.diag([1.0, 0.0]))
+
+
+def test_perturb_validation():
+    problem = CauchyProblem(A=np.eye(2), x0=[1.0, 1.0], t0=0.0,
+                            order=approximate_order(1.0, tol=1e-12, q_max=10))
+    config = SolveConfig(grid=np.linspace(0.1, 1.0, 10))
+    with pytest.raises(DomainError):
+        solve_limit_perturbation(problem, np.eye(3), [1e-2, 1e-3], config)
+    with pytest.raises(DomainError):
+        solve_limit_perturbation(problem, np.eye(2), [1e-2, -1.0], config)
 
 
 # ---------------------------------------------------------------- expm
