@@ -10,7 +10,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, NonUniformGridError
-from .linalg import as_matrix, max_abs
+from .linalg import IMAG_TOL_SCALE, as_matrix, max_abs
 from .rational_order import approximate_order, DEFAULT_TOL
 from .solver import (
     CauchyProblem,
@@ -25,6 +25,8 @@ def gl_weights(alpha: float, count: int) -> np.ndarray:
     """First `count` Grunwald-Letnikov weights: w_0 = 1,
     w_j = w_{j-1} * (j - 1 - alpha)/j (equivalently 1 - (alpha+1)/j,
     rearranged so w_1 = -alpha holds exactly in floating point)."""
+    if not np.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha}")
     w = np.empty(count)
     w[0] = 1.0
     for j in range(1, count):
@@ -39,8 +41,8 @@ def gl_derivative(samples, alpha: float, h: float) -> np.ndarray:
     terminal is the time of samples[0].  At alpha = 1 this is the first
     backward difference.
     """
-    if h <= 0.0:
-        raise DomainError(f"h must be positive, got {h}")
+    if not 0.0 < h < np.inf:
+        raise DomainError(f"h must be positive and finite, got {h}")
     f = np.asarray(samples, dtype=float)
     squeeze = f.ndim == 1
     if squeeze:
@@ -105,7 +107,7 @@ def stability_verdict(A) -> StabilityVerdict:
     Anything else (non-real spectrum, zero eigenvalue): inconclusive.
     """
     A = as_matrix(A)
-    tol = 1e-9 * (1.0 + max_abs(A))
+    tol = IMAG_TOL_SCALE * (1.0 + max_abs(A))
     w = np.linalg.eigvals(A)
     if np.max(np.abs(w.imag)) > tol:
         real_part = [lam for lam in w if abs(lam.imag) <= tol]
@@ -143,13 +145,12 @@ def convergence_study(a: float, alphas, t0: float, t_end: float, h: float,
     alphas = list(alphas)
     if not alphas:
         raise DomainError("alphas must be nonempty")
-    if h <= 0.0 or t_end <= t0:
-        raise DomainError("need h > 0 and t_end > t0")
+    if not (0.0 < h < np.inf and -np.inf < t0 < t_end < np.inf):
+        raise DomainError(f"need finite h > 0 and t0 < t_end, got {h}, {t0}, {t_end}")
     K = int(round((t_end - t0) / h))
     if K < 2:
         raise DomainError("grid must contain at least 2 points")
     grid = t0 + h * np.arange(1, K + 1)
-    reference = x0 * np.exp(a * (grid - t0))
 
     rows: list[StudyRow] = []
     for alpha in alphas:
@@ -159,7 +160,7 @@ def convergence_study(a: float, alphas, t0: float, t_end: float, h: float,
         else:
             traj = solve_scalar_quad(a, x0, order, t0, grid)
         x = traj.values
-        sup_dev = float(np.max(np.abs(x - reference)))
+        sup_dev = float(np.max(np.abs(x - x0 * np.exp(a * (grid - t0)))))
         if order.q == 0:
             with np.errstate(divide="raise", invalid="raise"):
                 try:

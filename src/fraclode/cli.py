@@ -22,13 +22,14 @@ import sys
 import numpy as np
 
 from .analysis import Verdict, convergence_study, stability_verdict
-from .errors import FraclodeError
+from .errors import DomainError, FraclodeError
 from .rational_order import DEFAULT_TOL, DEFAULT_Q_MAX, approximate_order
 from .solver import (
     DEFAULT_SIMPSON_TOL,
     CauchyProblem,
     Quadrature,
     SolveConfig,
+    _check_times,
     solve_limit_perturbation,
     solve_matrix,
 )
@@ -127,16 +128,13 @@ def _parse_grid(spec: dict, t0: float) -> np.ndarray:
                                       f"the limit of {MAX_GRID_POINTS}")
         times = start + step * np.arange(round(steps) + 1)
     elif isinstance(grid, list):
-        if not grid:
-            raise SchemaError("grid", "explicit time list must be nonempty")
         times = np.array(_numbers(grid, "grid"))
     else:
         raise SchemaError("grid", "must be {start,end,step} or a list of times")
-    if len(times) > 1 and np.min(np.diff(times)) <= 0.0:
-        raise SchemaError("grid", "times must be strictly increasing")
-    if times[0] <= t0:
-        raise SchemaError("grid", f"all times must exceed t0={t0}")
-    return times
+    try:
+        return _check_times(times, t0)
+    except DomainError as exc:
+        raise SchemaError("grid", str(exc)) from exc
 
 
 def _parse_method(name, field: str = "method") -> Quadrature:
@@ -156,8 +154,6 @@ def _parse_problem(spec: dict):
         raise SchemaError("x0", f"length {x0.shape[0]} does not match A dimension {A.shape[0]}")
     t0 = _number(spec.get("t0", 0.0), "t0")
     alpha = _number(_require(spec, "alpha"), "alpha")
-    if not (0.0 < alpha <= 1.0):
-        raise SchemaError("alpha", f"must lie in (0, 1], got {alpha}")
     tol = _positive(spec.get("tol", DEFAULT_TOL), "tol")
     try:
         order = approximate_order(alpha, tol=tol, q_max=DEFAULT_Q_MAX)

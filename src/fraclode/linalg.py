@@ -69,10 +69,9 @@ def eig_real_simple(A) -> SpectralDecomposition:
     gap_tol = GAP_TOL_SCALE * scale
 
     w, V = np.linalg.eig(A)
-    if np.max(np.abs(w.imag)) > IMAG_TOL_SCALE * scale:
-        raise ComplexSpectrumError(
-            f"eigenvalues have imaginary parts up to {np.max(np.abs(w.imag)):.3e}"
-        )
+    if max_abs(w.imag) > IMAG_TOL_SCALE * scale:
+        raise ComplexSpectrumError(f"eigenvalues have imaginary parts up to "
+                                   f"{max_abs(w.imag):.3e}")
     w = w.real.copy()
     V = V.real.copy()
 

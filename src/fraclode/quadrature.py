@@ -44,10 +44,6 @@ def gauss_jacobi(a: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _err(a) -> float:
-    return float(np.max(np.abs(a)))
-
-
 # No solve calls adaptive_simpson; it stays only because perfbench/tracing.py wraps it.
 def adaptive_simpson(f: Callable[[float], "np.ndarray | float"], a: float, b: float,
                      tol: float, max_depth: int = MAX_DEPTH):
@@ -72,7 +68,7 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
-    if _err(delta) <= 15.0 * tol:
+    if float(np.max(np.abs(delta))) <= 15.0 * tol:
         return left + right + delta / 15.0
     if depth <= 0:
         raise QuadratureFailureError(

@@ -111,8 +111,8 @@ def approximate_order(alpha: float, tol: float = DEFAULT_TOL,
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     if q_max < 1:
         raise DomainError(f"q_max must be >= 1, got {q_max}")
 

@@ -19,21 +19,15 @@ keeps a few dozen of the n - 1 terms.
 One evaluator, `_modes`, computes E_alpha(lambda_i u^alpha) from this
 formula for all eigenvalues lambda_i at once: the scalar solvers pass
 one eigenvalue, and `solve_matrix` passes the spectrum of A and
-recomposes with its eigenvectors.  Two numerical backends evaluate the
-integrals:
-
-* Rectangle: the literal left-endpoint Riemann discretization of the
-  weakly singular integrals on a uniform grid -- kept exactly as
-  formulated so the scheme itself is testable, slow O(h^(1/n))
-  convergence and all.  Terms with the same section j share the sampled
-  H_{m,j}, so their kernels add up to one collapsed kernel per section
-  and eigenvalue, which one FFT convolution applies: O(K log K) per
-  section on K lattice points, not O(K^2) per term.
-* Simpson (the name of an earlier adaptive Simpson rule, kept for the
-  API and the CLI): the substitution d = u s turns each integral into
-  u^(k/n) int_0^1 s^(k/n - 1) H_{m,j}(r u (1 - s)) ds, whose integrand
-  is entire in s, and Gauss–Jacobi rules for the weight s^(k/n - 1) of
-  16, 32, ..., 256 nodes are applied until two successive ones agree.
+recomposes with its eigenvectors.  `_terms` gives the kept terms as
+arrays: a = k/n, j = j_k and coef[term, i].  Two numerical backends
+evaluate the integrals (see `_modes`): the rectangle rule, the literal
+left-endpoint Riemann sum on a uniform grid, kept as formulated so the
+scheme itself is testable, slow O(h^(1/n)) convergence and all, with one
+FFT convolution per section j; and "simpson" (the name of an earlier
+adaptive Simpson rule, kept for the API and the CLI), Gauss–Jacobi
+rules of 16, 32, ..., 256 nodes, applied until two successive ones agree
+to SolveConfig.simpson_tol (DEFAULT_SIMPSON_TOL for the scalar solver).
 
 For q = 0 (alpha = 1) every backend degenerates to the classical matrix
 exponential.  `scalar_closed_form` is the oracle: the Mittag-Leffler
@@ -44,12 +38,15 @@ NonConvergenceError rather than return a wrong value.
 
 For lambda < 0 and p > 0 the sections grow like e^(|r| u cos(pi/m)) while
 the solution decays, so the attainable absolute accuracy is about
-2^-52 e^(|r| u).  Before any grid work the Simpson backend compares that
-floor, relative to the scale e^(|r| u cos(pi/m)), with simpson_tol and
-raises QuadratureFailureError when it is larger (lambda = -5 at
-alpha = 3/7, |r| u = 43; on t <= 1.01, every lambda < -4.026).  Zero
-eigenvalues raise ZeroEigenvalueError and grids must start strictly
-after t0; both are kept API contracts.
+2^-52 e^(|r| u).  Before any grid work a solve raises OverflowError_
+where e^(|r| u) / alpha passes floating range and the solution (r > 0)
+or the sections (m > 1) reach it, and the Simpson backend compares the
+rounding floor, relative to the scale e^(|r| u cos(pi/m)), with
+simpson_tol and raises QuadratureFailureError when it is larger
+(lambda = -5 at alpha = 3/7, |r| u = 43; on t <= 1.01, every
+lambda < -4.026).  Zero eigenvalues raise ZeroEigenvalueError.  Every
+grid must be nonempty, finite and strictly increasing (`_check_grid`),
+and a solve's grid must start strictly after t0 (`_check_times`).
 """
 
 from __future__ import annotations
@@ -89,6 +86,8 @@ GJ_BLOCK_ELEMENTS = 2 ** 13
 EXPM_BLOCK_ELEMENTS = 2 ** 13
 #: solve_matrix rejects eigenvalues below this, relative to 1 + max|A|.
 ZERO_EIG_TOL_SCALE = 1e-12
+#: e^x overflows past x = LOG_MAX.
+LOG_MAX = math.log(np.finfo(float).max)
 
 
 class Quadrature(Enum):
@@ -114,6 +113,7 @@ class CauchyProblem:
             )
         if not np.isfinite(x0).all():
             raise DomainError("x0 entries must be finite")
+        object.__setattr__(self, "t0", _finite("t0", float(self.t0)))
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "x0", x0)
 
@@ -141,10 +141,8 @@ class SolveConfig:
 
     def __post_init__(self) -> None:
         self.grid = np.asarray(self.grid, dtype=float).reshape(-1)
-        if self.grid.size == 0:
-            raise DomainError("grid must be nonempty")
-        if self.simpson_tol <= 0.0:
-            raise DomainError(f"simpson_tol must be positive, got {self.simpson_tol}")
+        if not 0.0 < self.simpson_tol < math.inf:
+            raise DomainError(f"simpson_tol must lie in (0, inf), got {self.simpson_tol}")
 
 
 @dataclass
@@ -155,14 +153,12 @@ class Trajectory:
     states: np.ndarray
 
     def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=float).reshape(-1)
+        self.times = _check_grid(self.times)
         self.states = np.asarray(self.states, dtype=float)
         if self.states.ndim == 1:
             self.states = self.states[:, None]
         if self.states.shape[0] != self.times.shape[0]:
             raise DomainError("states and times length mismatch")
-        if len(self.times) > 1 and np.min(np.diff(self.times)) <= 0.0:
-            raise DomainError("times must be strictly increasing")
         if not np.isfinite(self.states).all():
             raise OverflowError_("trajectory states overflowed floating range")
 
@@ -172,16 +168,26 @@ class Trajectory:
         return self.states[:, 0]
 
 
-def _check_times(times, t0: float) -> np.ndarray:
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _check_grid(times) -> np.ndarray:
+    """times as a float vector, which must be nonempty, finite and strictly increasing."""
     times = np.asarray(times, dtype=float).reshape(-1)
-    if times.size == 0:
-        raise DomainError("empty time grid")
-    if len(times) > 1 and np.min(np.diff(times)) <= 0.0:
-        raise DomainError("times must be strictly increasing")
-    if times[0] <= t0:
-        raise DomainError(
-            f"grid must start strictly after t0={t0} (x(t0) = x0 is the given value)"
-        )
+    if not (times.size and np.isfinite(times).all() and (np.diff(times) > 0.0).all()):
+        raise DomainError("times must be nonempty, finite and strictly increasing")
+    return times
+
+
+def _check_times(times, t0: float) -> np.ndarray:
+    """_check_grid's times, which must also lie after t0, within floating range of it."""
+    times = _check_grid(times)
+    if not (times[0] > _finite("t0", t0) and math.isfinite(float(times[-1]) - float(t0))):
+        raise DomainError(f"grid must lie strictly after t0={t0}, within floating range "
+                          f"of it (x(t0) = x0 is the given value)")
     return times
 
 
@@ -234,24 +240,15 @@ def _fft_size(n: int) -> int:
 
 def _reduced(order: FractionalOrder) -> tuple[int, int]:
     """(m, n) = (2p+1, 2q+1) in lowest terms; the solution depends on alpha only."""
-    m, n = 2 * order.p + 1, 2 * order.q + 1
+    m, n = order.numerator, order.denominator
     g = math.gcd(m, n)
     return m // g, n // g
 
 
-@dataclass(frozen=True)
-class _Term:
-    """One convolution term c_i * int_0^u d^(a-1) H_{m,j}(r_i (u-d)) dd."""
-
-    a: float  # k/n
-    j: int  # least j >= 0 with k + n*j = 0 (mod m)
-    coef: np.ndarray  # lambda_i^(k/m) / Gamma(k/n), one per eigenvalue
-
-
-def _terms(lams: np.ndarray, order: FractionalOrder,
-           u_max: float) -> tuple[int, np.ndarray, list[_Term]]:
-    """Numerator m, closer rates r_i = lambda_i^(n/m) and the kept terms
-    k = 1..n-1, each with one coefficient per eigenvalue.
+def _terms(lams: np.ndarray, order: FractionalOrder, u_max: float
+           ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Numerator m, closer rates r_i = lambda_i^(n/m) and the kept terms k
+    as arrays: a = k/n, j = j_k, coef[term, i] = lambda_i^(k/m) / Gamma(k/n).
 
     A term is kept when, for some eigenvalue, its bound
     |c| (n/k) u^(k/n) X^j e^X / j!, X = |r| u_max, is at least
@@ -259,8 +256,6 @@ def _terms(lams: np.ndarray, order: FractionalOrder,
     1/Gamma(k/n) in |c| is an upper bound: it screens the candidates, and
     log Gamma is taken of the survivors only.
     """
-    if np.any(lams == 0.0):
-        raise ZeroEigenvalueError("lambda = 0 is outside the solver's domain")
     m, n = _reduced(order)
     sign, mag = np.where(lams < 0.0, -1.0, 1.0), np.abs(lams)
     r = sign * mag ** (n / m)  # n is odd
@@ -284,9 +279,8 @@ def _terms(lams: np.ndarray, order: FractionalOrder,
     log_gamma = np.array(list(map(math.lgamma, (k / n).tolist())))  # log Gamma(k/n)
     kept = np.any(log_bound(k, log_gamma) >= log_tol, axis=1)
     k, log_gamma = k[kept], log_gamma[kept]
-    a, j = k / n, (-k * n_inv) % m
     coef = sign ** k[:, None] * mag ** (k[:, None] / m) / np.exp(log_gamma[:, None])
-    return m, r, [_Term(a=float(a_), j=int(j_), coef=c) for a_, j_, c in zip(a, j, coef)]
+    return m, r, k / n, (-k * n_inv) % m, coef
 
 
 def _jacobi_integral(ru: np.ndarray, m: int, j: int, a: float,
@@ -332,6 +326,20 @@ def _check_rounding_floor(x: float, m: int, growth: float, tol: float) -> None:
         )
 
 
+def _check_range(lams: np.ndarray, order: FractionalOrder, u_max: float) -> None:
+    """Raise OverflowError_ where r = lambda^(n/m) or X = |r| u_max passes
+    floating range, or e^X / alpha does and the solution (r > 0) or the
+    sections (m > 1) grow like it.  In logs, which cannot overflow."""
+    m, n = _reduced(order)
+    log_big = math.log(LOG_MAX + math.log(m / n))  # e^X / alpha overflows past it
+    for lam in lams.tolist():
+        log_r = (n / m) * math.log(abs(lam))
+        log_x = log_r + math.log(u_max)
+        if log_r > LOG_MAX or log_x > (log_big if lam > 0.0 or m > 1 else LOG_MAX):
+            raise OverflowError_(f"r = lambda^({n}/{m}) or e^(|r| u) passes floating "
+                                 f"range: |r| u_max = e^{log_x:.4g} at lambda = {lam}")
+
+
 def _modes(lams, order: FractionalOrder, t0: float, times, quadrature: Quadrature,
            simpson_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Checked times and Y[k, i] = E_alpha(lambda_i u_k^alpha), u = t - t0,
@@ -358,14 +366,15 @@ def _modes(lams, order: FractionalOrder, t0: float, times, quadrature: Quadratur
 
     For q = 0 there are no integrals and Y = exp(lambda u) exactly.
     """
-    if quadrature is Quadrature.SIMPSON and simpson_tol <= 0.0:
-        raise DomainError(f"simpson_tol must be positive, got {simpson_tol}")
     times = _check_times(times, t0)
     lams = np.asarray(lams, dtype=float)
     if not np.isfinite(lams).all():
         raise DomainError(f"eigenvalues must be finite, got {lams[~np.isfinite(lams)][0]}")
+    if np.any(lams == 0.0):
+        raise ZeroEigenvalueError("lambda = 0 is outside the solver's domain")
     u = times - t0
-    m, r, terms = _terms(lams, order, float(u[-1]))
+    _check_range(lams, order, float(u[-1]))
+    m, r, a, j, coef = _terms(lams, order, float(u[-1]))
     growth = max(0.0, math.cos(math.pi / m))  # of H_{m,j}(r u) for r < 0
     if quadrature is Quadrature.SIMPSON and m > 1 and np.any(r < 0.0):
         _check_rounding_floor(float(np.max(-r[r < 0.0])) * float(u[-1]), m, growth,
@@ -385,21 +394,19 @@ def _modes(lams, order: FractionalOrder, t0: float, times, quadrature: Quadratur
         # the largest damped sum, then stays relative to each x(t_k).
         damp = np.exp(-np.outer(h * np.arange(k_max + 1), rate))  # sigma = 0..k_max
         spectrum = np.zeros((size // 2 + 1, len(lams)), dtype=complex)
-        for j in sorted({term.j for term in terms}):
-            group = [term for term in terms if term.j == j]
-            # kernel[d-1, i] = sum over the group of c_i (d h)^(a-1), d = 1..k_max
-            kernel = dist ** np.array([t.a - 1.0 for t in group]) @ np.array(
-                [t.coef for t in group])
-            spectrum += (np.fft.rfft(exp_section(nodes, m, j) * damp[:-1], size, axis=0)
+        for j_g in sorted(set(j.tolist())):
+            # kernel[d-1, i] = sum over the section of c_i (d h)^(a-1), d = 1..k_max
+            kernel = dist ** (a[j == j_g] - 1.0) @ coef[j == j_g]
+            spectrum += (np.fft.rfft(exp_section(nodes, m, j_g) * damp[:-1], size, axis=0)
                          * np.fft.rfft(kernel * damp[1:], size, axis=0))
         # full[k-1] = sum_{sigma=0}^{k-1} kernel[k-1-sigma] H(r sigma h)
         full = np.fft.irfft(spectrum, size, axis=0)[:k_max]
         Y += h * full[k_idx - 1] * np.exp(np.outer(h * k_idx, rate))
     elif quadrature is Quadrature.SIMPSON:
         scale = np.exp(np.outer(u, rate))
-        for term in terms:
-            integral = _jacobi_integral(ru, m, term.j, term.a, scale, simpson_tol)
-            Y += term.coef * u[:, None] ** term.a * integral
+        for a_k, j_k, c in zip(a.tolist(), j.tolist(), coef):
+            integral = _jacobi_integral(ru, m, j_k, a_k, scale, simpson_tol)
+            Y += c * u[:, None] ** a_k * integral
     return times, Y
 
 
@@ -407,14 +414,14 @@ def solve_scalar_rect(lam: float, y0: float, order: FractionalOrder, t0: float,
                       grid) -> Trajectory:
     """Left-endpoint rectangle discretization of the scalar solution (see _modes)."""
     times, Y = _modes([lam], order, t0, grid, Quadrature.RECTANGLE, DEFAULT_SIMPSON_TOL)
-    return Trajectory(times=times, states=y0 * Y)
+    return Trajectory(times=times, states=_finite("y0", y0) * Y)
 
 
 def solve_scalar_quad(lam: float, y0: float, order: FractionalOrder, t0: float,
-                      times, simpson_tol: float = DEFAULT_SIMPSON_TOL) -> Trajectory:
+                      times) -> Trajectory:
     """Scalar solution with each integral by Gauss–Jacobi quadrature (see _modes)."""
-    times, Y = _modes([lam], order, t0, times, Quadrature.SIMPSON, simpson_tol)
-    return Trajectory(times=times, states=y0 * Y)
+    times, Y = _modes([lam], order, t0, times, Quadrature.SIMPSON, DEFAULT_SIMPSON_TOL)
+    return Trajectory(times=times, states=_finite("y0", y0) * Y)
 
 
 def scalar_closed_form(lam: float, y0: float, order: FractionalOrder, t0: float,
@@ -426,24 +433,23 @@ def scalar_closed_form(lam: float, y0: float, order: FractionalOrder, t0: float,
     at the first time whose series fails.  Independent of both quadrature
     backends; it is the oracle they are checked against.
     """
-    if not math.isfinite(lam):
-        raise DomainError(f"lambda must be finite, got {lam}")
-    if lam == 0.0:
+    if _finite("lambda", lam) == 0.0:
         raise ZeroEigenvalueError("lambda = 0 is outside the solver's domain")
     times = _check_times(times, t0)
-    params = MLParams(alpha=order.value)
-    z = np.array([lam * (t - t0) ** order.value for t in times])
-    out = y0 * mittag_leffler(params, z)
+    # Python floats: a z past floating range is inf, which mittag_leffler rejects.
+    z = np.array([lam * (t - t0) ** order.value for t in times.tolist()])
+    out = _finite("y0", y0) * mittag_leffler(MLParams(alpha=order.value), z)
     return Trajectory(times=times, states=out[:, None])
 
 
 def classical_exponential(problem: CauchyProblem, times) -> Trajectory:
-    """x(t) = expm((t - t0) A) x0 -- the alpha = 1 reference."""
-    times = np.asarray(times, dtype=float).reshape(-1)
-    if times.size == 0:
-        raise DomainError("empty time grid")
-    if len(times) > 1 and np.min(np.diff(times)) <= 0.0:
-        raise DomainError("times must be strictly increasing")
+    """x(t) = expm((t - t0) A) x0 -- the alpha = 1 reference, on any
+    increasing grid.  Where (t - t0) A can pass floating range it raises
+    OverflowError_ before any grid work; expm raises it where exp does."""
+    times = _check_grid(times)
+    u_max = max(abs(float(times[0]) - problem.t0), abs(float(times[-1]) - problem.t0))
+    if not math.isfinite(u_max * len(problem.A) * max_abs(problem.A)):
+        raise OverflowError_(f"(t - t0) A passes floating range at |t - t0| = {u_max:.3g}")
     u = times - problem.t0
     # Each block of times is reduced to states at once, so the memory
     # beyond the (K, n) result is one block's, not a (K, n, n) stack.
@@ -463,16 +469,15 @@ def solve_matrix(problem: CauchyProblem, config: SolveConfig) -> Trajectory:
     distinct real nonzero eigenvalues: with T^{-1} A T = diag(lambda),
     x(t) = T diag(E_alpha(lambda_i u^alpha)) T^{-1} x0.
     """
-    times = _check_times(config.grid, problem.t0)
     if problem.order.q == 0:
-        return classical_exponential(problem, times)
+        return classical_exponential(problem, _check_times(config.grid, problem.t0))
     dec = eig_real_simple(problem.A)
-    if np.min(np.abs(dec.lambdas)) < ZERO_EIG_TOL_SCALE * (1.0 + max_abs(problem.A)):
+    if np.any(np.abs(dec.lambdas) < ZERO_EIG_TOL_SCALE * (1.0 + max_abs(problem.A))):
         raise ZeroEigenvalueError(
             "A has a (near-)zero eigenvalue, which is outside the solver's domain"
         )
-    times, Y = _modes(dec.lambdas, problem.order, problem.t0, times, config.quadrature,
-                      config.simpson_tol)
+    times, Y = _modes(dec.lambdas, problem.order, problem.t0, config.grid,
+                      config.quadrature, config.simpson_tol)
     return Trajectory(times=times, states=(Y * (dec.T_inv @ problem.x0)) @ dec.T.T)
 
 
@@ -491,8 +496,8 @@ def solve_limit_perturbation(problem: CauchyProblem, B, eps_ladder,
     eps_ladder = [float(e) for e in eps_ladder]
     if len(eps_ladder) < 2:
         raise DomainError("eps ladder needs at least two rungs")
-    if any(e <= 0.0 for e in eps_ladder):
-        raise DomainError("eps ladder entries must be positive")
+    if not all(0.0 < e < math.inf for e in eps_ladder):
+        raise DomainError("eps ladder entries must be positive and finite")
     if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise DomainError("eps ladder must be strictly decreasing")
     B = as_matrix(B)

@@ -24,6 +24,8 @@ ML_ROUNDING_TOL = 1e-10
 #: Past the peak term, exp_section stops once a term is below SECTION_TOL
 #: times the partial sum.
 SECTION_TOL = 1e-17
+#: The series stops at the second of two consecutive shrinking terms below this.
+ML_TAIL_TOL = 1e-16
 
 
 def exp_section(x, m: int, j: int) -> np.ndarray:
@@ -58,20 +60,17 @@ def exp_section(x, m: int, j: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MLParams:
-    """Series parameters for E_{alpha,beta}."""
+    """Series parameters for E_{alpha,beta}; max_terms caps the series."""
 
     alpha: float
     beta: float = 1.0
     max_terms: int = 200_000
-    tail_tol: float = 1e-16
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise DomainError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
         if self.alpha <= 0.0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if self.tail_tol <= 0.0:
-            raise DomainError(f"tail_tol must be positive, got {self.tail_tol}")
         if self.max_terms < 1:
             raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
 
@@ -86,8 +85,8 @@ def mittag_leffler(params: MLParams, z: float | np.ndarray) -> float | np.ndarra
     0, and sign[k], the sign of Gamma, kept as is for z > 0 and times
     (-1)^k for z < 0.  Each term of a point z != 0 is then
     sign[k] * exp(k log|z| - lg[k]), summed in order until two
-    consecutive terms are small and shrinking, a pole's zero term not
-    counting as small; z = 0 gives 1/Gamma(beta).  A term that overflows,
+    consecutive terms are below ML_TAIL_TOL and shrinking, a pole's zero
+    term not counting; z = 0 gives 1/Gamma(beta).  A term that overflows,
     or whose Gamma over- or underflows off a pole, raises
     NonConvergenceError.  The first point that fails raises.
 
@@ -150,7 +149,7 @@ def _ml_point(params: MLParams, z: float, table: tuple) -> float:
     if terms is None:
         raise NonConvergenceError(
             f"series for E_({params.alpha},{params.beta})({z}) did not reach "
-            f"tail_tol={params.tail_tol} within {params.max_terms} terms"
+            f"tail_tol={ML_TAIL_TOL} within {params.max_terms} terms"
         )
     result = math.fsum(terms)
     rounding = math.fsum(map(abs, terms)) * 2.0 ** -52
@@ -177,7 +176,7 @@ def _ml_terms(params: MLParams, z: float, table: tuple) -> list[float] | None:
             return [1.0 / denom, 0.0] if params.max_terms > 1 else None
         log_z = math.log(abs(z))
         sign = neg if z < 0.0 else pos
-        exp, tail_tol = math.exp, params.tail_tol
+        exp, tail_tol = math.exp, ML_TAIL_TOL
         terms: list[float] = []
         prev = math.inf
         while k < params.max_terms:

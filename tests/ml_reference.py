@@ -11,7 +11,7 @@ underflowing to 0 off a pole) overflows like any other term.
 import math
 
 from fraclode.errors import DomainError, NonConvergenceError
-from fraclode.specfun import ML_MAX_ABS_Z, ML_ROUNDING_TOL
+from fraclode.specfun import ML_MAX_ABS_Z, ML_ROUNDING_TOL, ML_TAIL_TOL
 
 
 def series_term(z, k, g):
@@ -54,7 +54,7 @@ def per_point_ml(params, z):
         terms.append(t)
         at = abs(t)
         pole = z != 0.0 and g <= 0.0 and g == math.floor(g)
-        if at <= params.tail_tol and at <= prev and k > 0 and not pole:
+        if at <= ML_TAIL_TOL and at <= prev and k > 0 and not pole:
             result = math.fsum(terms)
             rounding = math.fsum(abs(t) for t in terms) * 2.0 ** -52
             if rounding > ML_ROUNDING_TOL * max(1.0, abs(result)):
@@ -67,7 +67,7 @@ def per_point_ml(params, z):
         prev = at
     raise NonConvergenceError(
         f"series for E_({params.alpha},{params.beta})({z}) did not reach "
-        f"tail_tol={params.tail_tol} within {params.max_terms} terms"
+        f"tail_tol={ML_TAIL_TOL} within {params.max_terms} terms"
     )
 
 

@@ -165,6 +165,29 @@ def test_solve_rect_lattice_over_limit_is_solver_error(tmp_path, capsys):
     assert "DomainError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("A, alpha, method", [
+    ([[0.5]], 3 / 7, "simpson"),
+    ([[2.0]], 3 / 7, "rectangle"),
+    ([[2.0]], 1.0, "simpson"),
+    ([[-2.0]], 1.0, "simpson"),
+    ([[-2.0]], 1 / 3, "rectangle"),
+    ([[-2.0]], 1 / 3, "simpson"),
+])
+def test_far_t0_exits_cleanly(tmp_path, A, alpha, method):
+    # t0 = -1e308 is schema-valid, and u = t - t0 = 1e308 puts e^(|r| u)
+    # far past floating range: each solve either returns finite values or
+    # exits 3 at once, and warns of nothing.
+    payload = dict(BASIC_SPEC, A=A, alpha=alpha, method=method, t0=-1e308, grid=[0.01])
+    spec = write_spec(tmp_path, "p.json", payload)
+    out = tmp_path / "o.csv"
+    result = subprocess.run(CLI + ["solve", "--config", spec, "--out", str(out)],
+                            capture_output=True, text=True, timeout=10)
+    assert result.returncode in (0, 3), result.stderr
+    assert "Warning" not in result.stderr
+    if result.returncode == 0:
+        assert np.isfinite(read_csv(out)[1]).all()
+
+
 def test_table_grid_over_point_limit_is_schema_error(tmp_path, capsys):
     from fraclode.cli import main
 

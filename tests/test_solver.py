@@ -20,6 +20,7 @@ from fraclode import (
     DomainError,
     NonConvergenceError,
     NonUniformGridError,
+    OverflowError_,
     Quadrature,
     QuadratureFailureError,
     SolveConfig,
@@ -171,16 +172,16 @@ def _rect_direct(lams, order, t0, times):
     in O(K^2): the evaluation the collapsed-kernel FFT replaces."""
     times = np.asarray(times, dtype=float)
     u = times - t0
-    m, r, terms = _terms(np.asarray(lams, dtype=float), order, float(u[-1]))
+    m, r, a, j, coef = _terms(np.asarray(lams, dtype=float), order, float(u[-1]))
     h, k_idx = _rect_lattice(times, t0)
     k_max = int(k_idx[-1])
     nodes = h * np.arange(k_max)
     dist = h * np.arange(1, k_max + 1)
     Y = exp_section(np.outer(u, r), m, 0)
-    for term in terms:
-        full = np.column_stack([np.convolve(col, dist ** (term.a - 1.0))[:k_max]
-                                for col in exp_section(np.outer(nodes, r), m, term.j).T])
-        Y += term.coef * h * full[k_idx - 1]
+    for a_k, j_k, c in zip(a, j, coef):
+        full = np.column_stack([np.convolve(col, dist ** (a_k - 1.0))[:k_max]
+                                for col in exp_section(np.outer(nodes, r), m, int(j_k)).T])
+        Y += c * h * full[k_idx - 1]
     return Y
 
 
@@ -589,13 +590,14 @@ def _check_terms_against_loop(m, n, lams, u_maxes):
     for u_max in u_maxes:
         refs = [_reference_terms(lam, m, n, u_max) for lam in lams]
         for lam, ref in zip(lams, refs):
-            got_m, r, terms = _terms(np.array([lam]), order, u_max)
+            got_m, r, a, j, coef = _terms(np.array([lam]), order, u_max)
             assert got_m == m and r[0] == pytest.approx(rpow(lam, n, m), rel=1e-15)
-            assert {round(t.a * n): t.j for t in terms} == {k: j for k, (j, _) in ref.items()}
-            for t in terms:
-                assert t.coef[0] == pytest.approx(ref[round(t.a * n)][1], rel=1e-14)
-        _, _, terms = _terms(np.array(lams), order, u_max)
-        assert {round(t.a * n) for t in terms} == set().union(*refs)
+            assert dict(zip(np.round(a * n).astype(int).tolist(), j.tolist())) == {
+                k: j_k for k, (j_k, _) in ref.items()}
+            for a_k, c in zip(a, coef):
+                assert c[0] == pytest.approx(ref[round(a_k * n)][1], rel=1e-14)
+        _, _, a, _, _ = _terms(np.array(lams), order, u_max)
+        assert set(np.round(a * n).astype(int).tolist()) == set().union(*refs)
 
 
 @pytest.mark.parametrize("m,n", [(1, 3), (3, 7), (1, 5), (5, 7), (199, 203),
@@ -622,8 +624,40 @@ def test_underflowed_rate_warns_nowhere(lam):
         for solve in (scalar_closed_form, solve_scalar_rect, solve_scalar_quad):
             assert np.allclose(solve(lam, 1.0, ORDER_13, 0.0, grid).values, 1.0,
                                rtol=0.0, atol=1e-15)
-        _, r, terms = _terms(np.array([lam]), ORDER_13, 1.01)
-        assert r[0] == 0.0 and terms == []
+        _, r, a, j, coef = _terms(np.array([lam]), ORDER_13, 1.01)
+        assert r[0] == 0.0 and a.size == j.size == coef.size == 0
+
+
+@pytest.mark.parametrize("order", [ORDER_13, ORDER_37, ORDER_1])
+@pytest.mark.parametrize("quadrature", list(Quadrature))
+def test_empty_system_solves_on_both_backends(order, quadrature):
+    problem = CauchyProblem(A=np.zeros((0, 0)), x0=[], t0=0.0, order=order)
+    traj = solve_matrix(problem, SolveConfig(grid=[0.5, 1.0], quadrature=quadrature))
+    assert traj.states.shape == (2, 0)
+
+
+def test_exponent_past_floating_range_raises_before_grid_work(monkeypatch):
+    # e^(|r| u) / alpha, |r| u = 8 u at lambda = 2 and alpha = 1/3, passes
+    # the largest double just below u = 88.6: the solve raises there
+    # without touching the grid.  A decaying first section (m = 1) does
+    # not grow, so lambda = -2 still solves at |r| u = 800.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(solve_scalar_rect(2.0, 1.0, ORDER_13, -88.0, [0.01]).values).all()
+        assert np.isfinite(solve_scalar_rect(-2.0, 1.0, ORDER_13, -100.0, [0.01]).values).all()
+
+        def no_grid_work(*args):
+            raise AssertionError("exp_section ran before the range check")
+
+        monkeypatch.setattr("fraclode.solver.exp_section", no_grid_work)
+        for solve in (solve_scalar_rect, solve_scalar_quad):
+            with pytest.raises(OverflowError_, match="floating range"):
+                solve(2.0, 1.0, ORDER_13, -88.6, [0.01])
+            with pytest.raises(OverflowError_, match="floating range"):
+                solve(-2.0, 1.0, ORDER_37, -1e5, [0.01])  # m = 3: the sections grow
+        with pytest.raises(OverflowError_, match="floating range"):
+            classical_exponential(CauchyProblem(A=[[2.0]], x0=[1.0], t0=-1e308, order=ORDER_1),
+                                  [0.01])
 
 
 def test_linearity_in_x0():

@@ -291,8 +291,6 @@ def test_ml_params_validation():
     with pytest.raises(DomainError):
         MLParams(alpha=0.0)
     with pytest.raises(DomainError):
-        MLParams(alpha=0.5, tail_tol=0.0)
-    with pytest.raises(DomainError):
         MLParams(alpha=0.5, max_terms=0)
 
 
