@@ -13,9 +13,11 @@ from .errors import DomainError, NonUniformGridError
 from .linalg import IMAG_TOL_SCALE, as_matrix, max_abs
 from .rational_order import approximate_order, DEFAULT_TOL
 from .solver import (
+    MAX_GRID_POINTS,
     CauchyProblem,
     Quadrature,
     Trajectory,
+    _time_rounding,
     solve_scalar_quad,
     solve_scalar_rect,
 )
@@ -66,7 +68,8 @@ def residual_nev(problem: CauchyProblem, traj: Trajectory) -> float:
     terminal t0, where x(t0) = x0 gives a zero sample, and alpha is
     problem.order.value.  The first point t0 + h is skipped: the GL error
     of a solution that behaves like u^alpha near t0 peaks there.  Raises
-    NonUniformGridError unless traj.times is t0 + h, ..., t0 + K h.
+    NonUniformGridError unless traj.times is t0 + h, ..., t0 + K h, to
+    1e-9 h plus the rounding of the times (`solver._time_rounding`).
     """
     times, states = traj.times, traj.states
     K = len(times)
@@ -78,7 +81,8 @@ def residual_nev(problem: CauchyProblem, traj: Trajectory) -> float:
             f"{problem.n}x{problem.n}"
         )
     h = float(times[-1] - problem.t0) / K
-    if not h > 0.0 or np.max(np.abs(times - problem.t0 - h * np.arange(1, K + 1))) > 1e-9 * h:
+    off = np.max(np.abs(times - problem.t0 - h * np.arange(1, K + 1)))
+    if not h > 0.0 or off > 1e-9 * h + _time_rounding(times, problem.t0):
         raise NonUniformGridError("residual metric requires the grid t0 + h, ..., t0 + K h")
     shifted = np.vstack((np.zeros((1, problem.n)), states - problem.x0))
     D = gl_derivative(shifted, problem.order.value, h)[1:]
@@ -137,17 +141,22 @@ def convergence_study(a: float, alphas, t0: float, t_end: float, h: float,
     sup deviation from x0 e^{a (t-t0)} and the residual metric nev.
 
     Grid: t0 + h, t0 + 2h, ..., up to t_end (K = round((t_end - t0)/h)
-    points).  For alpha < 1, nev is `residual_nev`.  At alpha = 1 it uses
-    the exact differentiator of an exponential, x_k ln(x_k / x_{k-1}) / h,
-    so nev reflects pure roundoff, matching the ladder's machine-zero
-    bottom row; like `residual_nev` it skips t0 + h.
+    points); a (t_end - t0)/h past MAX_GRID_POINTS raises DomainError
+    before the grid is built.  For alpha < 1, nev is `residual_nev`.  At
+    alpha = 1 it uses the exact differentiator of an exponential,
+    x_k ln(x_k / x_{k-1}) / h, so nev reflects pure roundoff, matching the
+    ladder's machine-zero bottom row; like `residual_nev` it skips t0 + h.
     """
     alphas = list(alphas)
     if not alphas:
         raise DomainError("alphas must be nonempty")
     if not (0.0 < h < np.inf and -np.inf < t0 < t_end < np.inf):
         raise DomainError(f"need finite h > 0 and t0 < t_end, got {h}, {t0}, {t_end}")
-    K = int(round((t_end - t0) / h))
+    steps = (float(t_end) - float(t0)) / float(h)  # inf where it passes floating range
+    if not steps <= MAX_GRID_POINTS:
+        raise DomainError(f"the study grid of (t_end - t0)/h = {steps:.3g} points "
+                          f"exceeds the limit of {MAX_GRID_POINTS}")
+    K = int(round(steps))
     if K < 2:
         raise DomainError("grid must contain at least 2 points")
     grid = t0 + h * np.arange(1, K + 1)

@@ -26,6 +26,7 @@ from .errors import DomainError, FraclodeError
 from .rational_order import DEFAULT_TOL, DEFAULT_Q_MAX, approximate_order
 from .solver import (
     DEFAULT_SIMPSON_TOL,
+    MAX_GRID_POINTS,
     CauchyProblem,
     Quadrature,
     SolveConfig,
@@ -40,9 +41,6 @@ EXIT_SCHEMA = 2
 EXIT_SOLVER = 3
 EXIT_UNSTABLE = 4
 EXIT_INCONCLUSIVE = 5
-
-#: Most points a grid object may ask for; checked before any allocation.
-MAX_GRID_POINTS = 10 ** 6
 
 
 class SchemaError(Exception):

@@ -75,6 +75,9 @@ DEFAULT_SIMPSON_TOL = 1e-10
 TERM_TOL = 1e-17
 #: Rectangle backend: at most this many lattice nodes times eigenvalues.
 MAX_LATTICE_SIZE = 10 ** 6
+#: Most points a grid built from a step may have (the CLI's grid objects
+#: and `table`, and convergence_study); checked before any allocation.
+MAX_GRID_POINTS = 10 ** 6
 #: Gauss–Jacobi node counts of the Simpson backend: GJ_MIN_NODES, doubled
 #: up to GJ_MAX_NODES; at most GJ_BLOCK_ELEMENTS (time, eigenvalue, node)
 #: triples at once.
@@ -174,6 +177,12 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
+def _overflow_to_inf() -> np.errstate:
+    """Where states are scaled by x0: an overflow gives inf or NaN states,
+    without a RuntimeWarning, and Trajectory raises OverflowError_ on them."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _check_grid(times) -> np.ndarray:
     """times as a float vector, which must be nonempty, finite and strictly increasing."""
     times = np.asarray(times, dtype=float).reshape(-1)
@@ -191,26 +200,36 @@ def _check_times(times, t0: float) -> np.ndarray:
     return times
 
 
+def _time_rounding(times: np.ndarray, t0: float) -> float:
+    """A bound on the rounding of a time t0 + k h, and of a step between
+    two of them: four ulps of 1 times the largest |t| of times and t0."""
+    return 4.0 * math.ulp(1.0) * max(abs(t0), abs(float(times[0])), abs(float(times[-1])))
+
+
 def _rect_lattice(times: np.ndarray, t0: float,
                   n_eig: int = 1) -> tuple[float, np.ndarray]:
     """Step h and lattice indices k with times = t0 + k*h.
 
     The rectangle rule needs quadrature nodes at every t0 + sigma*h below
     each output time, so the output grid must sit on the t0-anchored
-    uniform lattice (it need not start at t0 + h).  A lattice whose size
-    times n_eig exceeds MAX_LATTICE_SIZE raises DomainError before
-    anything of that size is allocated.
+    uniform lattice (it need not start at t0 + h).  Both checks allow the
+    rounding of the times (`_time_rounding`), which far from t = 0 can
+    exceed 1e-9 h; h, the least step, carries it k-fold to t0 + k h.  A
+    lattice whose size times n_eig exceeds MAX_LATTICE_SIZE raises
+    DomainError before anything of that size is allocated.
     """
+    rounding = _time_rounding(times, t0)
     if len(times) > 1:
         diffs = np.diff(times)
         h = float(np.min(diffs))
-        if np.max(np.abs(diffs - np.round(diffs / h) * h)) > 1e-9 * h:
+        if np.max(np.abs(diffs - np.round(diffs / h) * h)) > 1e-9 * h + rounding:
             raise NonUniformGridError("rectangle backend requires a uniform grid step")
     else:
         h = float(times[0] - t0)
     ks = (times - t0) / h
     k_int = np.round(ks).astype(int)
-    if np.max(np.abs(ks - k_int)) > 1e-6 or np.min(k_int) < 1:
+    if (np.max(np.abs(ks - k_int)) > 1e-6 + (ks[-1] + 1.0) * rounding / h
+            or np.min(k_int) < 1):
         raise NonUniformGridError(
             "rectangle backend requires grid points on the lattice t0 + k*h, k >= 1"
         )
@@ -414,14 +433,18 @@ def solve_scalar_rect(lam: float, y0: float, order: FractionalOrder, t0: float,
                       grid) -> Trajectory:
     """Left-endpoint rectangle discretization of the scalar solution (see _modes)."""
     times, Y = _modes([lam], order, t0, grid, Quadrature.RECTANGLE, DEFAULT_SIMPSON_TOL)
-    return Trajectory(times=times, states=_finite("y0", y0) * Y)
+    with _overflow_to_inf():
+        states = _finite("y0", y0) * Y
+    return Trajectory(times=times, states=states)
 
 
 def solve_scalar_quad(lam: float, y0: float, order: FractionalOrder, t0: float,
                       times) -> Trajectory:
     """Scalar solution with each integral by Gauss–Jacobi quadrature (see _modes)."""
     times, Y = _modes([lam], order, t0, times, Quadrature.SIMPSON, DEFAULT_SIMPSON_TOL)
-    return Trajectory(times=times, states=_finite("y0", y0) * Y)
+    with _overflow_to_inf():
+        states = _finite("y0", y0) * Y
+    return Trajectory(times=times, states=states)
 
 
 def scalar_closed_form(lam: float, y0: float, order: FractionalOrder, t0: float,
@@ -438,8 +461,11 @@ def scalar_closed_form(lam: float, y0: float, order: FractionalOrder, t0: float,
     times = _check_times(times, t0)
     # Python floats: a z past floating range is inf, which mittag_leffler rejects.
     z = np.array([lam * (t - t0) ** order.value for t in times.tolist()])
-    out = _finite("y0", y0) * mittag_leffler(MLParams(alpha=order.value), z)
-    return Trajectory(times=times, states=out[:, None])
+    y0 = _finite("y0", y0)
+    out = mittag_leffler(MLParams(alpha=order.value), z)
+    with _overflow_to_inf():
+        states = y0 * out[:, None]
+    return Trajectory(times=times, states=states)
 
 
 def classical_exponential(problem: CauchyProblem, times) -> Trajectory:
@@ -456,7 +482,9 @@ def classical_exponential(problem: CauchyProblem, times) -> Trajectory:
     states = np.empty((len(u), len(problem.x0)))
     step = max(1, EXPM_BLOCK_ELEMENTS // max(1, problem.A.size))
     for i in range(0, len(u), step):
-        states[i:i + step] = expm(u[i:i + step, None, None] * problem.A) @ problem.x0
+        E = expm(u[i:i + step, None, None] * problem.A)
+        with _overflow_to_inf():
+            states[i:i + step] = E @ problem.x0
     return Trajectory(times=times, states=states)
 
 
@@ -478,7 +506,9 @@ def solve_matrix(problem: CauchyProblem, config: SolveConfig) -> Trajectory:
         )
     times, Y = _modes(dec.lambdas, problem.order, problem.t0, config.grid,
                       config.quadrature, config.simpson_tol)
-    return Trajectory(times=times, states=(Y * (dec.T_inv @ problem.x0)) @ dec.T.T)
+    with _overflow_to_inf():
+        states = (Y * (dec.T_inv @ problem.x0)) @ dec.T.T
+    return Trajectory(times=times, states=states)
 
 
 #: Alias of solve_matrix, kept only because perfbench/tracing.py wraps it.

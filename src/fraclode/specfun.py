@@ -24,6 +24,7 @@ ML_ROUNDING_TOL = 1e-10
 #: Past the peak term, exp_section stops once a term is below SECTION_TOL
 #: times the partial sum.
 SECTION_TOL = 1e-17
+_LOG_SECTION_TOL = math.log(SECTION_TOL)
 #: The series stops at the second of two consecutive shrinking terms below this.
 ML_TAIL_TOL = 1e-16
 
@@ -37,6 +38,18 @@ def exp_section(x, m: int, j: int) -> np.ndarray:
     peak, once each element's last term is below SECTION_TOL times its
     partial sum.  For x < 0 and m > 1 the terms cancel, so the absolute
     accuracy there is about 1e-16 * e^|x|.
+
+    Past the peak, a term t_p that does not stop the sum yet may still
+    prove that the next one cannot change it: each element's next term
+    is |t_{p+m}| <= |t_p| phi, phi = X^m p! / (p+m)!.  Where
+    rho phi <= SECTION_TOL, rho = max |t_p| / |total| over the elements,
+    every next term is at most 1e-17 |total|, below half an ulp of total
+    (at least 2^-54 |total|, about 5.5e-17 |total|).  Adding it would
+    leave total unchanged and then stop the sum, so the sum stops one
+    term early with the same bits.  phi is taken in logs and rho only
+    once phi <= SECTION_TOL, which costs nothing where the sum needs
+    many terms; an exact cancellation, total = 0 under a term t_p != 0,
+    makes rho infinite and so never stops the sum early.
     """
     x = np.asarray(x, dtype=float)
     if m < 1 or not 0 <= j < m:
@@ -48,13 +61,23 @@ def exp_section(x, m: int, j: int) -> np.ndarray:
         return np.full(x.shape, 1.0 if j == 0 else 0.0)
     with np.errstate(divide="ignore"):
         log_abs = np.log(np.abs(x))
+    log_big = math.log(big)
     total = np.zeros(x.shape)
     power = j
     while True:
         term = np.exp(power * log_abs - math.lgamma(power + 1)) if power else 1.0
         total = total + (np.copysign(term, x) if power % 2 else term)
-        if power > big and np.all(term <= SECTION_TOL * np.abs(total)):
-            return total
+        if power > big:
+            abs_total = np.abs(total)
+            if np.all(term <= SECTION_TOL * abs_total):
+                return total
+            log_phi = m * log_big - math.lgamma(power + m + 1) + math.lgamma(power + 1)
+            if log_phi <= _LOG_SECTION_TOL:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    # 0/0 is NaN, which fmax skips; t/0 is inf.
+                    rho = float(np.fmax.reduce(term / abs_total, axis=None, initial=0.0))
+                if rho * math.exp(log_phi) <= SECTION_TOL:
+                    return total
         power += m
 
 

@@ -243,6 +243,39 @@ def test_study_simpson_backend_runs():
     assert math.isfinite(rows[0].sup_deviation)
 
 
+@pytest.mark.parametrize("backend", [Quadrature.RECTANGLE, Quadrature.SIMPSON])
+def test_study_far_from_zero_matches_the_study_at_zero(backend):
+    # The study's own grid t0 + h k, with t0 = 100, is uniform only up to
+    # the rounding of t, which exceeds 1e-9 h.
+    far = convergence_study(-2.0, [1 / 3, 3 / 7], t0=100.0, t_end=100.01, h=1e-5,
+                            backend=backend)
+    near = convergence_study(-2.0, [1 / 3, 3 / 7], t0=0.0, t_end=0.01, h=1e-5,
+                             backend=backend)
+    for a, b in zip(far, near):
+        assert abs(a.sup_deviation - b.sup_deviation) <= 1e-9
+        assert abs(a.nev - b.nev) <= 1e-9
+    bent = 100.0 + 1e-5 * np.arange(1, 1001)
+    bent[500:] += 3e-6  # one step of 1.3 h
+    with pytest.raises(NonUniformGridError):
+        residual_nev(_problem([[-2.0]], [1.0], t0=100.0),
+                     Trajectory(times=bent, states=np.ones((1000, 1))))
+
+
+def test_study_grid_limit_is_checked_before_the_grid_is_built(monkeypatch):
+    from fraclode import cli, solver
+
+    assert cli.MAX_GRID_POINTS is solver.MAX_GRID_POINTS
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the study built its grid")
+
+    monkeypatch.setattr(np, "arange", no_grid)
+    for t0, t_end, h in ((-1e308, 1e308, 1.0), (0.0, 1.0, 1e-7),
+                         (0.0, 1.0, 1.0 / (solver.MAX_GRID_POINTS + 1))):
+        with pytest.raises(DomainError, match="exceeds the limit"):
+            convergence_study(-2.0, [1 / 3], t0=t0, t_end=t_end, h=h)
+
+
 def test_study_validation():
     with pytest.raises(DomainError):
         convergence_study(-2.0, [], t0=0.0, t_end=1.0, h=0.01)

@@ -188,6 +188,26 @@ def test_far_t0_exits_cleanly(tmp_path, A, alpha, method):
         assert np.isfinite(read_csv(out)[1]).all()
 
 
+def test_solve_overflowing_x0_exits_3_without_warning(tmp_path):
+    payload = dict(BASIC_SPEC, A=[[2.0]], x0=[1e308], alpha=1 / 3, grid=[1.0])
+    spec = write_spec(tmp_path, "p.json", payload)
+    result = run_cli("solve", "--config", spec, "--out", str(tmp_path / "o.csv"))
+    assert result.returncode == 3
+    assert "OverflowError_" in result.stderr
+    assert "Warning" not in result.stderr
+
+
+def test_table_far_from_zero(tmp_path):
+    from fraclode.cli import main
+
+    payload = {"a": -2.0, "alphas": [1 / 3, 1.0], "interval": [100.00001, 100.01],
+               "h": 1e-5}
+    spec = write_spec(tmp_path, "case.json", payload)
+    out = tmp_path / "t.csv"
+    assert main(["table", "--config", spec, "--out", str(out)]) == 0
+    assert np.isfinite(read_csv(out)[1]).all()
+
+
 def test_table_grid_over_point_limit_is_schema_error(tmp_path, capsys):
     from fraclode.cli import main
 

@@ -160,6 +160,38 @@ def test_rect_rejects_off_lattice_grid():
         solve_scalar_rect(-2.0, 1.0, ORDER_13, 0.0, [0.15, 0.25, 0.35])
 
 
+@pytest.mark.parametrize("t0, h", [(100.0, 1e-5), (1000.0, 1e-4), (-1000.0, 1e-4)])
+@pytest.mark.parametrize("solve", [solve_scalar_rect, solve_scalar_quad])
+def test_uniform_grid_far_from_zero_solves(solve, t0, h):
+    # Far from t = 0 the rounding of t itself exceeds 1e-9 h; such a grid
+    # is still uniform, and its solve is the t0 = 0 one shifted by t0.
+    k = np.arange(1, 1001)
+    far = solve(-2.0, 1.0, ORDER_13, t0, t0 + h * k).values
+    near = solve(-2.0, 1.0, ORDER_13, 0.0, h * k).values
+    assert np.max(np.abs(far - near)) <= 1e-9
+    bent = t0 + h * k
+    bent[500:] += 0.3 * h  # one step of 1.3 h
+    with pytest.raises(NonUniformGridError):
+        solve_scalar_rect(-2.0, 1.0, ORDER_13, t0, bent)
+
+
+def test_scaling_the_modes_past_floating_range_raises_overflow():
+    # y0 E_alpha(2 u^alpha) at u = 1 passes the largest double: the states
+    # overflow silently and Trajectory raises, on every path.
+    big = CauchyProblem(A=[[2.0]], x0=[1e308], t0=0.0, order=ORDER_13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (solve_scalar_rect, solve_scalar_quad, scalar_closed_form):
+            with pytest.raises(OverflowError_):
+                solve(2.0, 1e308, ORDER_13, 0.0, [1.0])
+        for quadrature in Quadrature:
+            with pytest.raises(OverflowError_):
+                solve_matrix(big, SolveConfig(grid=[1.0], quadrature=quadrature))
+        with pytest.raises(OverflowError_):
+            classical_exponential(CauchyProblem(A=[[2.0]], x0=[1e308], t0=0.0,
+                                                order=ORDER_1), [1.0])
+
+
 def test_grid_must_start_after_t0():
     with pytest.raises(DomainError):
         solve_scalar_rect(-2.0, 1.0, ORDER_13, 0.5, [0.5, 0.6])

@@ -16,7 +16,7 @@ from fraclode import (
     NonConvergenceError,
     mittag_leffler,
 )
-from fraclode.specfun import exp_section
+from fraclode.specfun import SECTION_TOL, exp_section
 from ml_reference import per_point_ml, per_point_outcome
 
 FIXTURE = json.loads(
@@ -63,6 +63,85 @@ def test_exp_section_partition_of_exp():
     assert total == pytest.approx(np.exp(x), rel=1e-13, abs=1e-13)
     with pytest.raises(DomainError):
         exp_section(x, 3, 3)
+
+
+def _section_loop(x, m, j):
+    """exp_section as it summed before it could stop one term early: the
+    terms up to the first past the peak X = max|x| that is below
+    SECTION_TOL times every element's partial sum."""
+    x = np.asarray(x, dtype=float)
+    if m == 1:
+        return np.exp(x)
+    big = float(np.max(np.abs(x))) if x.size else 0.0
+    if big == 0.0:
+        return np.full(x.shape, 1.0 if j == 0 else 0.0)
+    with np.errstate(divide="ignore"):
+        log_abs = np.log(np.abs(x))
+    total = np.zeros(x.shape)
+    power = j
+    while True:
+        term = np.exp(power * log_abs - math.lgamma(power + 1)) if power else 1.0
+        total = total + (np.copysign(term, x) if power % 2 else term)
+        if power > big and np.all(term <= SECTION_TOL * np.abs(total)):
+            return total
+        power += m
+
+
+@st.composite
+def _section_case(draw):
+    m = 2 * draw(st.integers(0, 1001)) + 1
+    j = draw(st.integers(0, m - 1))
+    shape = draw(st.sampled_from([(), (1,), (6,), (3, 4), (2, 3, 4)]))
+    values = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=math.prod(shape),
+                                    max_size=math.prod(shape))))
+    signs = draw(st.sampled_from(["mixed", "positive", "negative"]))
+    if signs != "mixed":
+        values = np.abs(values) if signs == "positive" else -np.abs(values)
+    if draw(st.booleans()):
+        scale = draw(st.one_of(st.sampled_from([1e-300, 0.5, 2.2, 700.0]),
+                               st.floats(-8.0, 2.845).map(lambda e: 10.0 ** e)))
+    else:
+        # The edge of the early stop: X such that the bound X^m p!/(p+m)!
+        # on the next term over the first term past 1 (p = j, or m at
+        # j = 0) lies around SECTION_TOL.
+        p = j or m
+        log_phi = draw(st.floats(-20.0, -12.0)) * math.log(10.0)
+        scale = min(700.0, math.exp((log_phi + math.lgamma(p + m + 1)
+                                     - math.lgamma(p + 1)) / m))
+    return (scale * values).reshape(shape), m, j
+
+
+@given(case=_section_case())
+@settings(max_examples=300, deadline=None)
+def test_exp_section_matches_the_full_loop_bit_for_bit(case):
+    # The early stop only skips a term that could not change the sum.
+    x, m, j = case
+    got, want = exp_section(x, m, j), _section_loop(x, m, j)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_exp_section_stops_one_exponential_early(monkeypatch):
+    calls = []
+    exp = np.exp
+    monkeypatch.setattr("fraclode.specfun.np.exp", lambda v: calls.append(1) or exp(v))
+
+    def count(section, *args):
+        calls.clear()
+        section(*args)
+        return len(calls)
+
+    x = np.linspace(-2.2, 2.2, 45).reshape(5, 9)  # zero included
+    # Near alpha = 1 a section past the peak (j > max|x|) has one
+    # significant term, whose bound proves the next negligible.
+    for j in (3, 10, 198):
+        assert count(exp_section, x, 199, j) == 1
+        assert count(_section_loop, x, 199, j) == 2
+    # Below the peak the first term cannot stop the sum.
+    for j in (0, 1, 2):
+        assert count(exp_section, x, 199, j) == count(_section_loop, x, 199, j)
+    # Where many terms are needed the bound never fires.
+    for j in range(3):
+        assert count(exp_section, x, 3, j) == count(_section_loop, x, 3, j) > 5
 
 
 # ---------------------------------------------------------------- mittag_leffler
