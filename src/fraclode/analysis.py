@@ -4,6 +4,7 @@ spectrum-based stability verdicts, and the alpha-ladder convergence study.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,9 +27,12 @@ from .solver import (
 def gl_weights(alpha: float, count: int) -> np.ndarray:
     """First `count` Grunwald-Letnikov weights: w_0 = 1,
     w_j = w_{j-1} * (j - 1 - alpha)/j (equivalently 1 - (alpha+1)/j,
-    rearranged so w_1 = -alpha holds exactly in floating point)."""
+    rearranged so w_1 = -alpha holds exactly in floating point).  count
+    must be an integer >= 1."""
     if not np.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha}")
+    if not isinstance(count, numbers.Integral) or count < 1:
+        raise DomainError(f"count must be an integer >= 1, got {count!r}")
     w = np.empty(count)
     w[0] = 1.0
     for j in range(1, count):
@@ -109,11 +113,13 @@ def stability_verdict(A) -> StabilityVerdict:
     E_alpha(lambda (t-t0)^alpha) decays to 0 for lambda < 0).  Any real
     positive eigenvalue: unstable.
     Anything else (non-real spectrum, zero eigenvalue): inconclusive.
+    An empty spectrum (a 0x0 A) has no eigenvalue to fail the first rule,
+    so it is asymptotically stable.
     """
     A = as_matrix(A)
     tol = IMAG_TOL_SCALE * (1.0 + max_abs(A))
     w = np.linalg.eigvals(A)
-    if np.max(np.abs(w.imag)) > tol:
+    if max_abs(w.imag) > tol:
         real_part = [lam for lam in w if abs(lam.imag) <= tol]
         if any(lam.real > tol for lam in real_part):
             return StabilityVerdict(Verdict.UNSTABLE, None, non_real=True)

@@ -8,6 +8,7 @@ encodes alpha = 1.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,8 +114,8 @@ def approximate_order(alpha: float, tol: float = DEFAULT_TOL,
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     if not 0.0 < tol < np.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    if q_max < 1:
-        raise DomainError(f"q_max must be >= 1, got {q_max}")
+    if not isinstance(q_max, numbers.Integral) or q_max < 1:
+        raise DomainError(f"q_max must be an integer >= 1, got {q_max!r}")
 
     for q in _screened_qs(alpha, tol, q_max):
         best = _best_at(alpha, q)

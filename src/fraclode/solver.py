@@ -214,9 +214,11 @@ def _rect_lattice(times: np.ndarray, t0: float,
     each output time, so the output grid must sit on the t0-anchored
     uniform lattice (it need not start at t0 + h).  Both checks allow the
     rounding of the times (`_time_rounding`), which far from t = 0 can
-    exceed 1e-9 h; h, the least step, carries it k-fold to t0 + k h.  A
-    lattice whose size times n_eig exceeds MAX_LATTICE_SIZE raises
-    DomainError before anything of that size is allocated.
+    exceed 1e-9 h; the least step, which the checks take as h, carries it
+    k-fold to t0 + k h.  Once the indices are known, the step returned is
+    (t_K - t0)/k_K, which carries the rounding of one time spread over
+    k_K steps.  A lattice whose size times n_eig exceeds MAX_LATTICE_SIZE
+    raises DomainError before anything of that size is allocated.
     """
     rounding = _time_rounding(times, t0)
     if len(times) > 1:
@@ -233,12 +235,13 @@ def _rect_lattice(times: np.ndarray, t0: float,
         raise NonUniformGridError(
             "rectangle backend requires grid points on the lattice t0 + k*h, k >= 1"
         )
-    if int(k_int[-1]) * n_eig > MAX_LATTICE_SIZE:
+    k_last = int(k_int[-1])
+    if k_last * n_eig > MAX_LATTICE_SIZE:
         raise DomainError(
-            f"rectangle lattice of {int(k_int[-1])} nodes x {n_eig} eigenvalues "
+            f"rectangle lattice of {k_last} nodes x {n_eig} eigenvalues "
             f"exceeds the limit of {MAX_LATTICE_SIZE}"
         )
-    return h, k_int
+    return float(times[-1] - t0) / k_last, k_int
 
 
 def _fft_size(n: int) -> int:

@@ -9,6 +9,7 @@ checked against.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -27,6 +28,8 @@ SECTION_TOL = 1e-17
 _LOG_SECTION_TOL = math.log(SECTION_TOL)
 #: The series stops at the second of two consecutive shrinking terms below this.
 ML_TAIL_TOL = 1e-16
+#: Most terms mittag_leffler forms at once for a block of points.
+ML_BLOCK_ELEMENTS = 2 ** 14
 
 
 def exp_section(x, m: int, j: int) -> np.ndarray:
@@ -94,8 +97,8 @@ class MLParams:
             raise DomainError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
         if self.alpha <= 0.0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
+        if not isinstance(self.max_terms, numbers.Integral) or self.max_terms < 1:
+            raise DomainError(f"max_terms must be an integer >= 1, got {self.max_terms!r}")
 
 
 def mittag_leffler(params: MLParams, z: float | np.ndarray) -> float | np.ndarray:
@@ -112,6 +115,20 @@ def mittag_leffler(params: MLParams, z: float | np.ndarray) -> float | np.ndarra
     term not counting; z = 0 gives 1/Gamma(beta).  A term that overflows,
     or whose Gamma over- or underflows off a pole, raises
     NonConvergenceError.  The first point that fails raises.
+
+    An array is summed a block of points at a time, with the same bits
+    as the one-point loop.  The point of largest |z| in the block is
+    summed alone first: its term magnitudes bound every other point's,
+    so its term count n covers the block and no term up to n overflows.
+    The block's terms are formed as one array, k log|z| - lg[k] rounding
+    as the scalar products and differences do (log|z| from math.log),
+    and exponentiated by math.exp mapped over it, since np.exp rounds
+    differently.  Array comparisons find each point's stop, and
+    math.fsum sums its terms up to it.  A block holds at most
+    ML_BLOCK_ELEMENTS terms.  A point that does not stop within n terms
+    is summed alone, and so is every point of a block whose largest |z|
+    fails, its sum included: that block raises at its first failing
+    point, as the loop does, without summing the points past it.
 
     The sum is exact, so the error is the terms' own rounding, about
     2^-52 sum_k |t_k|.  For z >= 0 every term is positive and that is a
@@ -131,8 +148,91 @@ def mittag_leffler(params: MLParams, z: float | np.ndarray) -> float | np.ndarra
     if not finite.all():
         raise DomainError(f"z must be finite, got {zs[~finite][0]}")
     table: tuple[list[float], list[float], list[float]] = ([], [], [])
-    out = [_ml_point(params, zi, table) for zi in zs.ravel().tolist()]
-    return out[0] if zs.ndim == 0 else np.array(out).reshape(zs.shape)
+    if zs.ndim == 0:
+        return _ml_point(params, float(zs), table)
+    flat = zs.ravel()
+    out = np.empty(flat.size)
+    # A short first block: where an early point fails, the call raises
+    # without summing the far end of the array first.
+    start, rows = 0, 16
+    while start < flat.size:
+        rows, n = _ml_span(params, flat[start:start + rows], table)
+        block = flat[start:start + rows]
+        if n:
+            out[start:start + rows] = _ml_block(params, block, n, table)
+            rows = max(1, ML_BLOCK_ELEMENTS // n)  # the next block's window
+        else:
+            out[start:start + rows] = [_ml_point(params, zi, table) for zi in block.tolist()]
+        start += block.size
+    return out.reshape(zs.shape)
+
+
+def _ml_span(params: MLParams, window: np.ndarray, table: tuple) -> tuple[int, int]:
+    """(rows, n): the block is the first rows points of window, and n is
+    the term count of its largest |z|, with rows * n <= ML_BLOCK_ELEMENTS
+    unless rows = 1.  n = 0 where that point is 0, outside the domain or
+    fails, its sum included: the block is then summed a point at a time,
+    which raises at its first failing point without summing the rest."""
+    rows = window.size
+    while True:
+        abs_z = np.abs(window[:rows])
+        big = float(abs_z.max())
+        if big == 0.0 or big > ML_MAX_ABS_Z:
+            return rows, 0
+        z = float(window[int(abs_z.argmax())])
+        try:
+            terms = _ml_terms(params, z, table)
+            if terms is not None:
+                _ml_sum(params, z, terms)
+        except (NonConvergenceError, OverflowError):
+            terms = None
+        if terms is None:  # the block fails at or before its largest |z|
+            return rows, 0
+        fit = max(1, ML_BLOCK_ELEMENTS // len(terms))
+        if fit >= rows:
+            return rows, len(terms)
+        rows = fit  # the shorter block's own largest |z| sets its term count
+
+
+def _ml_block(params: MLParams, block: np.ndarray, n: int, table: tuple) -> list[float]:
+    """The values of a block whose largest |z| stops within n terms."""
+    lg, pos, neg = (np.array(column[:n]) for column in table)
+    zl = block.tolist()
+    abs_z = np.abs(block)
+    abs_z[abs_z == 0.0] = abs_z.max()  # a zero is summed alone below
+    log_z = np.array(list(map(math.log, abs_z.tolist())))
+    arg = np.multiply.outer(log_z, np.arange(n))  # k log|z|, as k * log_z rounds
+    arg -= lg
+    arg = arg.ravel().tolist()
+    try:
+        mag = np.fromiter(map(math.exp, arg), float, len(arg)).reshape(len(zl), n)
+    except OverflowError:  # not reached: the largest |z| bounds every term
+        return [_ml_point(params, zi, table) for zi in zl]
+    del arg
+    # The first k > 0 off a pole with |t_k| <= ML_TAIL_TOL and |t_k| <= |t_{k-1}|.
+    stops = (mag[:, 1:] <= ML_TAIL_TOL) & (mag[:, 1:] <= mag[:, :-1]) & (lg[1:] != math.inf)
+    ends = (stops.argmax(axis=1) + 2).tolist()
+    stopped = stops.any(axis=1).tolist()
+    # The rounding bound from the row's whole magnitude sum, past its stop
+    # too, is at least the exact one to within n ulps: a row below half
+    # the check's limit passes it, and only the others take an exact fsum.
+    # The largest |z|, whose sum _ml_span checked, bounds these sums.
+    rough = (mag.sum(axis=1) * 2.0 ** -52).tolist()
+    # Sign the terms in place; the magnitudes are not needed past here.
+    negative = block[:, None] < 0.0
+    np.multiply(mag, neg, out=mag, where=negative)
+    np.multiply(mag, pos, out=mag, where=~negative)
+    values = []
+    for zi, row, end, done, bound in zip(zl, mag, ends, stopped, rough):
+        if not (zi and done):  # z = 0, or no stop within n terms
+            values.append(_ml_point(params, zi, table))
+            continue
+        terms = row[:end].tolist()
+        result = math.fsum(terms)
+        if bound > 0.5 * ML_ROUNDING_TOL * max(1.0, abs(result)):
+            result = _ml_sum(params, zi, terms)
+        values.append(result)
+    return values
 
 
 #: log|Gamma| tabled where Gamma overflows or underflows to 0 off a pole:
@@ -174,6 +274,12 @@ def _ml_point(params: MLParams, z: float, table: tuple) -> float:
             f"series for E_({params.alpha},{params.beta})({z}) did not reach "
             f"tail_tol={ML_TAIL_TOL} within {params.max_terms} terms"
         )
+    return _ml_sum(params, z, terms)
+
+
+def _ml_sum(params: MLParams, z: float, terms: list[float]) -> float:
+    """fsum of a point's terms, or NonConvergenceError where the rounding
+    bound 2^-52 sum_k |t_k| exceeds ML_ROUNDING_TOL * max(1, |sum|)."""
     result = math.fsum(terms)
     rounding = math.fsum(map(abs, terms)) * 2.0 ** -52
     if rounding > ML_ROUNDING_TOL * max(1.0, abs(result)):

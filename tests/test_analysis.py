@@ -53,6 +53,13 @@ def test_gl_weights_partial_sums_tend_to_zero():
         assert abs(partial[-1]) < 2.0 * 5000.0 ** (-alpha)
 
 
+@pytest.mark.parametrize("count", [0, -1, 2.0, 2.5])
+def test_gl_weights_count_must_be_a_positive_integer(count):
+    # 0 gave an IndexError from w[0], -1 a ValueError from np.empty.
+    with pytest.raises(DomainError, match="count must be an integer >= 1"):
+        gl_weights(0.5, count)
+
+
 # ---------------------------------------------------------------- derivative
 
 
@@ -206,6 +213,14 @@ def test_stability_inconclusive_cases():
     assert rotation.non_real
     zero = stability_verdict(np.diag([0.0, -1.0]))
     assert zero.verdict is Verdict.INCONCLUSIVE
+
+
+def test_stability_of_an_empty_system():
+    # No eigenvalue is real and non-negative, so the first rule holds
+    # vacuously; np.max of the empty imaginary parts raised ValueError.
+    report = stability_verdict(np.zeros((0, 0)))
+    assert report.verdict is Verdict.ASYMPTOTICALLY_STABLE
+    assert report.eigenvalues == [] and not report.non_real
 
 
 def test_stability_permutation_invariance():

@@ -100,6 +100,10 @@ def test_alpha_domain_errors():
         approximate_order(0.5, tol=0.0)
     with pytest.raises(DomainError):
         approximate_order(0.5, tol=1e-6, q_max=0)
+    # A float budget was scanned as if it were an integer.
+    for q_max in (10.5, 10.0, "10"):
+        with pytest.raises(DomainError, match="q_max must be an integer >= 1"):
+            approximate_order(0.3, q_max=q_max)
 
 
 def test_no_representation_in_small_budget():

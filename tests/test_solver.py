@@ -175,6 +175,16 @@ def test_uniform_grid_far_from_zero_solves(solve, t0, h):
         solve_scalar_rect(-2.0, 1.0, ORDER_13, t0, bent)
 
 
+def test_rectangle_step_far_from_zero_is_the_mean_step():
+    # At t0 = 1e5 each time carries a rounding of about 1e-11.  The least
+    # step carried it 1000-fold to the last node, 2.6e-9 off the t0 = 0
+    # solve; (t_K - t0)/K spreads one time's rounding over K steps.
+    k = np.arange(1, 1001)
+    far = solve_scalar_rect(-2.0, 1.0, ORDER_13, 1e5, 1e5 + 1e-3 * k).values
+    near = solve_scalar_rect(-2.0, 1.0, ORDER_13, 0.0, 1e-3 * k).values
+    assert np.max(np.abs(far - near)) <= 2e-10
+
+
 def test_scaling_the_modes_past_floating_range_raises_overflow():
     # y0 E_alpha(2 u^alpha) at u = 1 passes the largest double: the states
     # overflow silently and Trajectory raises, on every path.

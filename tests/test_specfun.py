@@ -4,6 +4,7 @@ series."""
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fraclode import (
     NonConvergenceError,
     mittag_leffler,
 )
+from fraclode import specfun
 from fraclode.specfun import SECTION_TOL, exp_section
 from ml_reference import per_point_ml, per_point_outcome
 
@@ -357,6 +359,109 @@ def test_ml_array_raises_at_the_first_failing_point(zs, error):
     assert got[0] is error and got == per_point_outcome(MLParams(alpha=1 / 3), zs)
 
 
+def _same_outcome(ref, got):
+    """got is ref exactly: the same values with the same signs of zero, or
+    the same error class and message."""
+    if isinstance(ref, tuple):
+        assert got == ref
+    else:
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def _outcome_or_overflow(outcome, params, zs):
+    try:
+        return outcome(params, zs)
+    except OverflowError as exc:
+        return OverflowError, str(exc)
+
+
+@given(
+    alpha=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    beta=st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0]),
+    zs=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-1.0, 1.0)),
+                min_size=1, max_size=40),
+    scale=st.sampled_from([1.0, 5.0, 30.0]),
+    max_terms=st.sampled_from([2000, 2000, 2000, 2, 6, 40]),
+    block=st.sampled_from([2, 16, 64, 512]),
+)
+@settings(max_examples=100, deadline=None)
+def test_ml_blocks_match_per_point_loop(alpha, beta, zs, scale, max_terms, block):
+    # With at most `block` terms formed at once, a call spans many blocks
+    # of a few points each, the largest |z| anywhere in them; zeros and
+    # beta <= 0 poles fall mid-array.  Each value and the first failure
+    # must be the scalar loop's, an overflowing fsum's OverflowError too.
+    params = MLParams(alpha=alpha, beta=beta, max_terms=max_terms)
+    zs = [scale * z for z in zs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specfun, "ML_BLOCK_ELEMENTS", block)
+        got = _outcome_or_overflow(_array_outcome, params, zs)
+    _same_outcome(_outcome_or_overflow(per_point_outcome, params, zs), got)
+
+
+def _count_blocks(monkeypatch):
+    """The size of each block mittag_leffler sums, in order."""
+    sizes = []
+    span = specfun._ml_span
+    monkeypatch.setattr(specfun, "_ml_span",
+                        lambda *args: sizes.append(span(*args)[0]) or span(*args))
+    return sizes
+
+
+def test_ml_long_array_spans_blocks(monkeypatch):
+    # 3000 points at alpha = 1/2 need up to about 60 terms each, so the
+    # default block holds a few hundred; the largest |z| of a block lies
+    # anywhere in it, and zeros fall mid-array.
+    zs = np.random.default_rng(3).uniform(-3.0, 5.0, 3000)
+    zs[[5, 700, 2999]] = 0.0
+    zs[1234] = -0.0
+    sizes = _count_blocks(monkeypatch)
+    params = MLParams(alpha=0.5)
+    _same_outcome(per_point_outcome(params, zs.tolist()), _array_outcome(params, zs))
+    assert len(sizes) > 4 and sum(sizes) == zs.size
+
+
+@pytest.mark.parametrize("first, second", [(-4.0, 31.0), (31.0, -4.0)])
+def test_ml_first_failure_in_a_later_block(monkeypatch, first, second):
+    # -4.0 cancels at alpha = 1/3 and 31 is outside the domain.  Both lie
+    # past the first block; whichever comes first raises, in the last
+    # block formed.
+    zs = np.linspace(-2.0, 2.0, 2000)
+    zs[1500], zs[1700] = first, second
+    sizes = _count_blocks(monkeypatch)
+    params = MLParams(alpha=1 / 3)
+    got = _array_outcome(params, zs)
+    _same_outcome(per_point_outcome(params, zs.tolist()), got)
+    assert got[0] is (DomainError if first > 30 else NonConvergenceError)
+    assert len(sizes) > 1 and sum(sizes[:-1]) <= 1500 < sum(sizes)
+
+
+def test_ml_zero_results_keep_their_sign():
+    # beta = 0: 1/Gamma(0) = 0 at z = 0, and at z = -5e-324 the k = 1 term
+    # underflows to -0.0, so that series sums [0.0, -0.0].  The scalar
+    # loop's fsum gives +0.0 for each; a term -1e-302 stays negative.
+    params = MLParams(alpha=0.01, beta=0.0)
+    zs = [0.5, 0.0, -5e-324, -0.0, 5e-324, 0.7, -1e-300]
+    got = _array_outcome(params, zs)
+    _same_outcome(per_point_outcome(params, zs), got)
+    assert got[1:5].tolist() == [0.0] * 4 and not np.signbit(got[1:5]).any()
+    assert got[6] < 0.0
+
+
+def test_ml_sum_past_double_range_fails_as_the_loop_does():
+    # E_{1/2}(26.7) = e^(26.7^2) erfc(-26.7) lies past double range while
+    # every term is finite, so the loop's fsum overflows; where -6, which
+    # cancels, comes first, it raises first.  Nothing may warn.
+    params = MLParams(alpha=0.5)
+    for zs in ([26.7], [1.0, 26.7], [1.0, -6.0, 26.7]):
+        ref = _outcome_or_overflow(per_point_outcome, params, zs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome_or_overflow(_array_outcome, params, zs)
+        assert got == ref
+    assert ref[0] is NonConvergenceError
+
+
 def test_ml_scalar_returns_float_and_empty_array_returns_empty():
     params = MLParams(alpha=3 / 7)
     for z in (0.7, np.float64(0.7), -1.2, 0.0):
@@ -371,6 +476,10 @@ def test_ml_params_validation():
         MLParams(alpha=0.0)
     with pytest.raises(DomainError):
         MLParams(alpha=0.5, max_terms=0)
+    # A float budget passed validation, then raised TypeError in the series.
+    for max_terms in (1.5, 2.0, "3"):
+        with pytest.raises(DomainError, match="max_terms must be an integer >= 1"):
+            MLParams(alpha=0.5, max_terms=max_terms)
 
 
 @pytest.mark.parametrize("alpha, beta", [(math.inf, 1.0), (math.nan, 1.0), (0.5, math.nan),
