@@ -23,10 +23,10 @@ import numpy as np
 
 from .analysis import Verdict, convergence_study, stability_verdict
 from .errors import DomainError, FraclodeError
-from .rational_order import DEFAULT_TOL, DEFAULT_Q_MAX, approximate_order
+from .rational_order import DEFAULT_TOL, approximate_order
 from .solver import (
-    DEFAULT_SIMPSON_TOL,
     MAX_GRID_POINTS,
+    SIMPSON_TOL,
     CauchyProblem,
     Quadrature,
     SolveConfig,
@@ -41,6 +41,10 @@ EXIT_SCHEMA = 2
 EXIT_SOLVER = 3
 EXIT_UNSTABLE = 4
 EXIT_INCONCLUSIVE = 5
+
+#: The fields each command reads; any other field is a schema error.
+SOLVE_FIELDS = ("A", "x0", "t0", "alpha", "tol", "grid", "method", "eps_ladder", "B")
+TABLE_FIELDS = ("a", "alphas", "interval", "h", "method")
 
 
 class SchemaError(Exception):
@@ -85,6 +89,13 @@ def _positive(value, field: str) -> float:
     return x
 
 
+def _check_fields(spec: dict, fields: tuple[str, ...]) -> None:
+    """A schema error naming the first field of spec not in fields."""
+    for field in spec:
+        if field not in fields:
+            raise SchemaError(field, f"unknown field; the fields read are {', '.join(fields)}")
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -98,13 +109,9 @@ def _load_json(path: str) -> dict:
     return spec
 
 
-def _parse_matrix(spec: dict, field: str, required: bool = True):
+def _parse_matrix(spec: dict, field: str):
     """A nonempty square JSON list of rows, each entry checked by `_number`."""
-    if field not in spec:
-        if required:
-            raise SchemaError(field, "missing required field")
-        return None
-    rows = spec[field]
+    rows = _require(spec, field)
     if not (isinstance(rows, list) and rows
             and all(isinstance(row, list) and len(row) == len(rows) for row in rows)):
         raise SchemaError(field, f"must be a square matrix, got {json.dumps(rows)}")
@@ -135,17 +142,18 @@ def _parse_grid(spec: dict, t0: float) -> np.ndarray:
         raise SchemaError("grid", str(exc)) from exc
 
 
-def _parse_method(name, field: str = "method") -> Quadrature:
+def _parse_method(name) -> Quadrature:
     """The backend a spec names; `simpson` when it names none."""
     if name is None:
         return Quadrature.SIMPSON
     try:
         return Quadrature(name)
     except ValueError:
-        raise SchemaError(field, f"must be 'rectangle' or 'simpson', got {name!r}") from None
+        raise SchemaError("method", f"must be 'rectangle' or 'simpson', got {name!r}") from None
 
 
 def _parse_problem(spec: dict):
+    _check_fields(spec, SOLVE_FIELDS)
     A = _parse_matrix(spec, "A")
     x0 = np.array(_numbers(_require(spec, "x0"), "x0"))
     if x0.shape[0] != A.shape[0]:
@@ -154,29 +162,23 @@ def _parse_problem(spec: dict):
     alpha = _number(_require(spec, "alpha"), "alpha")
     tol = _positive(spec.get("tol", DEFAULT_TOL), "tol")
     try:
-        order = approximate_order(alpha, tol=tol, q_max=DEFAULT_Q_MAX)
+        order = approximate_order(alpha, tol=tol)
     except FraclodeError as exc:
         raise SchemaError("alpha", str(exc)) from exc
     times = _parse_grid(spec, t0)
-    config = SolveConfig(
-        grid=times,
-        quadrature=_parse_method(spec.get("method")),
-        simpson_tol=_positive(spec.get("simpson_tol", DEFAULT_SIMPSON_TOL), "simpson_tol"),
-    )
-    if spec.get("sum_range", "from_zero") != "from_zero":
-        raise SchemaError("sum_range", "only 'from_zero', the full sum, is supported")
+    config = SolveConfig(grid=times, quadrature=_parse_method(spec.get("method")))
     problem = CauchyProblem(A=A, x0=x0, t0=t0, order=order)
     eps_ladder = spec.get("eps_ladder")
-    B = _parse_matrix(spec, "B", required=False)
-    if eps_ladder is not None:
-        if not isinstance(eps_ladder, list) or len(eps_ladder) < 2:
-            raise SchemaError("eps_ladder", "must be a list with at least two entries")
-        if B is None:
-            raise SchemaError("B", "required when eps_ladder is given")
-        if B.shape != A.shape:
-            raise SchemaError("B", f"shape {B.shape} does not match A shape {A.shape}")
-        eps_ladder = _numbers(eps_ladder, "eps_ladder")
-    return problem, config, eps_ladder, B
+    if eps_ladder is None:
+        if "B" in spec:
+            raise SchemaError("B", "read only with eps_ladder")
+        return problem, config, None, None
+    if not isinstance(eps_ladder, list) or len(eps_ladder) < 2:
+        raise SchemaError("eps_ladder", "must be a list with at least two entries")
+    B = _parse_matrix(spec, "B")
+    if B.shape != A.shape:
+        raise SchemaError("B", f"shape {B.shape} does not match A shape {A.shape}")
+    return problem, config, _numbers(eps_ladder, "eps_ladder"), B
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -188,12 +190,9 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _banner(args) -> None:
-    if getattr(args, "verbose", False):
-        print(
-            f"fraclode defaults: order tol={DEFAULT_TOL}, "
-            f"simpson_tol={DEFAULT_SIMPSON_TOL}",
-            file=sys.stderr,
-        )
+    if args.verbose:
+        print(f"fraclode defaults: order tol={DEFAULT_TOL}, SIMPSON_TOL={SIMPSON_TOL}",
+              file=sys.stderr)
 
 
 def cmd_solve(args) -> int:
@@ -215,6 +214,7 @@ def cmd_solve(args) -> int:
 def cmd_table(args) -> int:
     _banner(args)
     spec = _load_json(args.config)
+    _check_fields(spec, TABLE_FIELDS)
     a = _number(_require(spec, "a"), "a")
     alphas = _require(spec, "alphas")
     if not isinstance(alphas, list) or not alphas:
@@ -228,11 +228,10 @@ def cmd_table(args) -> int:
     start, end = _numbers(interval, "interval")
     if end <= start:
         raise SchemaError("interval", "need end > start")
-    h = _positive(args.h if args.h is not None else _require(spec, "h"), "h")
+    h = _positive(_require(spec, "h"), "h")
     if (end - start) / h > MAX_GRID_POINTS - 1:
         raise SchemaError("h", f"the study grid would exceed {MAX_GRID_POINTS} points")
-    method = _parse_method(args.method if args.method is not None
-                           else spec.get("method"))
+    method = _parse_method(spec.get("method"))
     # x(t0) is given one step before the first reported point.
     t0 = start - h
     rows = convergence_study(a, alphas, t0, end, h, backend=method)
@@ -248,7 +247,6 @@ def cmd_mlf(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    _banner(args)
     spec = _load_json(args.config)
     A = _parse_matrix(spec, "A")
     report = stability_verdict(A)
@@ -267,42 +265,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # No abbreviated flags: `--h 0.01` would otherwise print the help and exit 0.
     p_solve = sub.add_parser(
-        "solve", help="solve a Cauchy problem from a JSON spec",
-        description="Solve D^alpha x = A x, x(t0) = x0, from a JSON spec and write "
-                    "t,x1,...,xn.  The spec's optional 'method' is 'simpson' (the "
-                    "default: Gauss-Jacobi quadrature of the integrals) or "
-                    "'rectangle' (the literal left-endpoint rule, which converges "
-                    "only like h^(1/(2q+1))).")
+        "solve", allow_abbrev=False, help="solve a Cauchy problem from a JSON spec",
+        description="Solve D^alpha x = A x, x(t0) = x0, from a JSON spec of A, x0, alpha, "
+                    f"grid and the optional t0 (0), tol (order tolerance, {DEFAULT_TOL:g}), "
+                    "method and eps_ladder with B, and write t,x1,...,xn.  'method' is "
+                    "'simpson' (the default: Gauss-Jacobi quadrature of the integrals) "
+                    "or 'rectangle' (the literal left-endpoint rule, which converges "
+                    "only like h^(1/(2q+1))).  Any other field is a schema error.")
     p_solve.add_argument("--config", required=True, help="JSON problem spec")
     p_solve.add_argument("--out", required=True, help="output CSV path")
     p_solve.add_argument("--verbose", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
 
     p_table = sub.add_parser(
-        "table", help="alpha-ladder convergence study",
-        description="Solve D^alpha x = a x for each alpha of the case and write "
+        "table", allow_abbrev=False, help="alpha-ladder convergence study",
+        description="Solve D^alpha x = a x for each alpha of a case {a, alphas, interval, "
+                    "h, method (simpson by default)}, with no other field, and write "
                     "alpha,sup_dev,nev.  Each alpha is approximated by (2p+1)/(2q+1) "
                     f"to the default order tolerance {DEFAULT_TOL:g}, so a row "
                     "labelled 1999/2003 is solved at 999/1001.")
     p_table.add_argument("--config", required=True, help="JSON case spec")
     p_table.add_argument("--out", required=True, help="output CSV path")
-    p_table.add_argument("--method", choices=["rectangle", "simpson"],
-                         help="override the case's quadrature method "
-                              "(default: the case's, else simpson)")
-    p_table.add_argument("--h", type=float, help="override the case's grid step")
     p_table.add_argument("--verbose", action="store_true")
     p_table.set_defaults(func=cmd_table)
 
-    p_mlf = sub.add_parser("mlf", help="evaluate E_{alpha,beta}(z)")
+    p_mlf = sub.add_parser("mlf", allow_abbrev=False, help="evaluate E_{alpha,beta}(z)")
     p_mlf.add_argument("alpha", type=float)
     p_mlf.add_argument("beta", type=float)
     p_mlf.add_argument("z", type=float)
     p_mlf.set_defaults(func=cmd_mlf)
 
-    p_stab = sub.add_parser("stability", help="stability verdict for A")
+    p_stab = sub.add_parser("stability", allow_abbrev=False, help="stability verdict for A")
     p_stab.add_argument("--config", required=True, help="JSON spec containing A")
-    p_stab.add_argument("--verbose", action="store_true")
     p_stab.set_defaults(func=cmd_stability)
 
     return parser

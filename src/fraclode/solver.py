@@ -27,7 +27,7 @@ scheme itself is testable, slow O(h^(1/n)) convergence and all, with one
 FFT convolution per section j; and "simpson" (the name of an earlier
 adaptive Simpson rule, kept for the API and the CLI), Gauss–Jacobi
 rules of 16, 32, ..., 256 nodes, applied until two successive ones agree
-to SolveConfig.simpson_tol (DEFAULT_SIMPSON_TOL for the scalar solver).
+to SIMPSON_TOL.
 
 For q = 0 (alpha = 1) every backend degenerates to the classical matrix
 exponential.  `scalar_closed_form` is the oracle: the Mittag-Leffler
@@ -42,7 +42,7 @@ the solution decays, so the attainable absolute accuracy is about
 where e^(|r| u) / alpha passes floating range and the solution (r > 0)
 or the sections (m > 1) reach it, and the Simpson backend compares the
 rounding floor, relative to the scale e^(|r| u cos(pi/m)), with
-simpson_tol and raises QuadratureFailureError when it is larger
+SIMPSON_TOL and raises QuadratureFailureError when it is larger
 (lambda = -5 at alpha = 3/7, |r| u = 43; on t <= 1.01, every
 lambda < -4.026).  Zero eigenvalues raise ZeroEigenvalueError.  Every
 grid must be nonempty, finite and strictly increasing (`_check_grid`),
@@ -70,7 +70,13 @@ from .quadrature import gauss_jacobi
 from .rational_order import FractionalOrder
 from .specfun import MLParams, exp_section, mittag_leffler
 
-DEFAULT_SIMPSON_TOL = 1e-10
+#: Simpson backend: successive Gauss–Jacobi rules must agree to this on
+#: each integral relative to its bound e^(growth |r| u) (_jacobi_integral),
+#: not to x: for lambda < 0 and m > 1 a solve that returns can be off by
+#: far more than SIMPSON_TOL * max|x| (at alpha = 3/7, t <= 1.01: 1.8e-7 of
+#: max|x| at lambda = -3.5, 7.3e-5 at -4, against mpmath).  Where the
+#: rounding floor alone exceeds it, the solve raises at once.
+SIMPSON_TOL = 1e-10
 #: Convolution terms bounded below TERM_TOL * e^(|r| u_max) are dropped.
 TERM_TOL = 1e-17
 #: Rectangle backend: at most this many lattice nodes times eigenvalues.
@@ -131,21 +137,9 @@ class SolveConfig:
 
     grid: np.ndarray
     quadrature: Quadrature = Quadrature.RECTANGLE
-    #: Simpson backend: successive Gauss–Jacobi rules must agree to this,
-    #: in max-abs over the grid, on each integral divided by its bound
-    #: e^(growth |r| u) and multiplied by k/n (see _jacobi_integral).  It
-    #: is relative to that bound, not to x: for lambda < 0 and m > 1 the
-    #: bound exceeds |x| by up to e^(growth |r| u), and a solve that
-    #: returns can be off by far more than simpson_tol * max|x|.  At
-    #: alpha = 3/7 on t <= 1.01 the error is 1.8e-7 of max|x| at
-    #: lambda = -3.5 and 7.3e-5 at lambda = -4, against mpmath.  Where
-    #: the rounding floor alone exceeds it, the solve raises at once.
-    simpson_tol: float = DEFAULT_SIMPSON_TOL
 
     def __post_init__(self) -> None:
         self.grid = np.asarray(self.grid, dtype=float).reshape(-1)
-        if not 0.0 < self.simpson_tol < math.inf:
-            raise DomainError(f"simpson_tol must lie in (0, inf), got {self.simpson_tol}")
 
 
 @dataclass
@@ -306,12 +300,12 @@ def _terms(lams: np.ndarray, order: FractionalOrder, u_max: float
 
 
 def _jacobi_integral(ru: np.ndarray, m: int, j: int, a: float,
-                     scale: np.ndarray, tol: float) -> np.ndarray:
+                     scale: np.ndarray) -> np.ndarray:
     """I[k, i] = int_0^1 s^(a-1) H_{m,j}(ru[k, i] (1 - s)) ds, ru = r_i u_k.
 
     Gauss–Jacobi rules of GJ_MIN_NODES, twice as many, ... nodes are
     applied until two successive ones agree: max |a (I_2N - I_N)| / scale
-    <= tol.  With the factor a, tol bounds the error of
+    <= SIMPSON_TOL.  With the factor a, SIMPSON_TOL bounds the error of
     int_0^1 H_{m,j}(r u (1 - v^(1/a))) dv / scale, v = s^a, a per-term
     integral of size at most 1.  Past GJ_MAX_NODES it raises
     QuadratureFailureError.  Times go through exp_section in blocks of
@@ -324,27 +318,27 @@ def _jacobi_integral(ru: np.ndarray, m: int, j: int, a: float,
         step = max(1, GJ_BLOCK_ELEMENTS // (ru.shape[1] * n_nodes))
         cur = np.concatenate([exp_section(ru[i:i + step, :, None] * (1.0 - s), m, j) @ w
                               for i in range(0, len(ru), step)])
-        if prev is not None and a * np.max(np.abs(cur - prev) / scale) <= tol:
+        if prev is not None and a * np.max(np.abs(cur - prev) / scale) <= SIMPSON_TOL:
             return cur
         prev = cur
         n_nodes *= 2
     raise QuadratureFailureError(
-        f"Gauss–Jacobi rules did not settle to {tol:g} within {GJ_MAX_NODES} nodes "
+        f"Gauss–Jacobi rules did not settle to {SIMPSON_TOL:g} within {GJ_MAX_NODES} nodes "
         f"(a = {a:.6g}, section ({m}, {j}), |r| u = {np.max(np.abs(ru[-1])):.3g})"
     )
 
 
-def _check_rounding_floor(x: float, m: int, growth: float, tol: float) -> None:
-    """Raise QuadratureFailureError when no rule can meet tol at X = x.
+def _check_rounding_floor(x: float, m: int, growth: float) -> None:
+    """Raise QuadratureFailureError when no rule can meet SIMPSON_TOL at X = x.
 
     For r < 0 and m > 1 the sections reach e^X, X = |r| u, while their
-    bound, the scale of simpson_tol, is e^(growth X): summing them leaves
+    bound, the scale of SIMPSON_TOL, is e^(growth X): summing them leaves
     a rounding floor of 2^-52 e^((1 - growth) X) relative to that scale.
     """
-    if (1.0 - growth) * x - 52.0 * math.log(2.0) > math.log(tol):
+    if (1.0 - growth) * x - 52.0 * math.log(2.0) > math.log(SIMPSON_TOL):
         raise QuadratureFailureError(
             f"the sections' rounding floor 2^-52 e^({(1.0 - growth) * x:.3g}) exceeds "
-            f"simpson_tol = {tol:g} (section order {m}, |r| u = {x:.3g})"
+            f"SIMPSON_TOL = {SIMPSON_TOL:g} (section order {m}, |r| u = {x:.3g})"
         )
 
 
@@ -362,8 +356,8 @@ def _check_range(lams: np.ndarray, order: FractionalOrder, u_max: float) -> None
                                  f"range: |r| u_max = e^{log_x:.4g} at lambda = {lam}")
 
 
-def _modes(lams, order: FractionalOrder, t0: float, times, quadrature: Quadrature,
-           simpson_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _modes(lams, order: FractionalOrder, t0: float, times,
+           quadrature: Quadrature) -> tuple[np.ndarray, np.ndarray]:
     """Checked times and Y[k, i] = E_alpha(lambda_i u_k^alpha), u = t - t0,
     for every eigenvalue at once.
 
@@ -384,7 +378,7 @@ def _modes(lams, order: FractionalOrder, t0: float, times, quadrature: Quadratur
     weight s^(a-1) converge spectrally.  Along the path from r u to 0,
     |H_{m,j}| <= e^(growth |r| u) with growth = 1 for r > 0 and
     max(0, cos(pi/m)) for r < 0; integrals are divided by that bound,
-    which makes simpson_tol relative to their scale (see _jacobi_integral).
+    which makes SIMPSON_TOL relative to their scale (see _jacobi_integral).
 
     For q = 0 there are no integrals and Y = exp(lambda u) exactly.
     """
@@ -399,8 +393,7 @@ def _modes(lams, order: FractionalOrder, t0: float, times, quadrature: Quadratur
     m, r, a, j, coef = _terms(lams, order, float(u[-1]))
     growth = max(0.0, math.cos(math.pi / m))  # of H_{m,j}(r u) for r < 0
     if quadrature is Quadrature.SIMPSON and m > 1 and np.any(r < 0.0):
-        _check_rounding_floor(float(np.max(-r[r < 0.0])) * float(u[-1]), m, growth,
-                              simpson_tol)
+        _check_rounding_floor(float(np.max(-r[r < 0.0])) * float(u[-1]), m, growth)
     ru = np.outer(u, r)
     Y = exp_section(ru, m, 0)
     # |H_{m,j}(r u)| <= e^(rate u) for u >= 0
@@ -427,7 +420,7 @@ def _modes(lams, order: FractionalOrder, t0: float, times, quadrature: Quadratur
     elif quadrature is Quadrature.SIMPSON:
         scale = np.exp(np.outer(u, rate))
         for a_k, j_k, c in zip(a.tolist(), j.tolist(), coef):
-            integral = _jacobi_integral(ru, m, j_k, a_k, scale, simpson_tol)
+            integral = _jacobi_integral(ru, m, j_k, a_k, scale)
             Y += c * u[:, None] ** a_k * integral
     return times, Y
 
@@ -435,7 +428,7 @@ def _modes(lams, order: FractionalOrder, t0: float, times, quadrature: Quadratur
 def solve_scalar_rect(lam: float, y0: float, order: FractionalOrder, t0: float,
                       grid) -> Trajectory:
     """Left-endpoint rectangle discretization of the scalar solution (see _modes)."""
-    times, Y = _modes([lam], order, t0, grid, Quadrature.RECTANGLE, DEFAULT_SIMPSON_TOL)
+    times, Y = _modes([lam], order, t0, grid, Quadrature.RECTANGLE)
     with _overflow_to_inf():
         states = _finite("y0", y0) * Y
     return Trajectory(times=times, states=states)
@@ -444,7 +437,7 @@ def solve_scalar_rect(lam: float, y0: float, order: FractionalOrder, t0: float,
 def solve_scalar_quad(lam: float, y0: float, order: FractionalOrder, t0: float,
                       times) -> Trajectory:
     """Scalar solution with each integral by Gauss–Jacobi quadrature (see _modes)."""
-    times, Y = _modes([lam], order, t0, times, Quadrature.SIMPSON, DEFAULT_SIMPSON_TOL)
+    times, Y = _modes([lam], order, t0, times, Quadrature.SIMPSON)
     with _overflow_to_inf():
         states = _finite("y0", y0) * Y
     return Trajectory(times=times, states=states)
@@ -508,7 +501,7 @@ def solve_matrix(problem: CauchyProblem, config: SolveConfig) -> Trajectory:
             "A has a (near-)zero eigenvalue, which is outside the solver's domain"
         )
     times, Y = _modes(dec.lambdas, problem.order, problem.t0, config.grid,
-                      config.quadrature, config.simpson_tol)
+                      config.quadrature)
     with _overflow_to_inf():
         states = (Y * (dec.T_inv @ problem.x0)) @ dec.T.T
     return Trajectory(times=times, states=states)

@@ -9,7 +9,6 @@ checked against.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -30,6 +29,8 @@ _LOG_SECTION_TOL = math.log(SECTION_TOL)
 ML_TAIL_TOL = 1e-16
 #: Most terms mittag_leffler forms at once for a block of points.
 ML_BLOCK_ELEMENTS = 2 ** 14
+#: Most terms of one point's series (read at each call, so tests can patch it).
+ML_MAX_TERMS = 200_000
 
 
 def exp_section(x, m: int, j: int) -> np.ndarray:
@@ -86,19 +87,16 @@ def exp_section(x, m: int, j: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MLParams:
-    """Series parameters for E_{alpha,beta}; max_terms caps the series."""
+    """Series parameters for E_{alpha,beta}; ML_MAX_TERMS caps the series."""
 
     alpha: float
     beta: float = 1.0
-    max_terms: int = 200_000
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise DomainError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
         if self.alpha <= 0.0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if not isinstance(self.max_terms, numbers.Integral) or self.max_terms < 1:
-            raise DomainError(f"max_terms must be an integer >= 1, got {self.max_terms!r}")
 
 
 def mittag_leffler(params: MLParams, z: float | np.ndarray) -> float | np.ndarray:
@@ -112,9 +110,10 @@ def mittag_leffler(params: MLParams, z: float | np.ndarray) -> float | np.ndarra
     (-1)^k for z < 0.  Each term of a point z != 0 is then
     sign[k] * exp(k log|z| - lg[k]), summed in order until two
     consecutive terms are below ML_TAIL_TOL and shrinking, a pole's zero
-    term not counting; z = 0 gives 1/Gamma(beta).  A term that overflows,
-    or whose Gamma over- or underflows off a pole, raises
-    NonConvergenceError.  The first point that fails raises.
+    term not counting; z = 0 gives 1/Gamma(beta).  A term that overflows
+    or whose Gamma over- or underflows off a pole, a sum past double range
+    and ML_MAX_TERMS terms without a stop raise NonConvergenceError.  The
+    first point that fails raises.
 
     An array is summed a block of points at a time, with the same bits
     as the one-point loop.  The point of largest |z| in the block is
@@ -184,7 +183,7 @@ def _ml_span(params: MLParams, window: np.ndarray, table: tuple) -> tuple[int, i
             terms = _ml_terms(params, z, table)
             if terms is not None:
                 _ml_sum(params, z, terms)
-        except (NonConvergenceError, OverflowError):
+        except NonConvergenceError:
             terms = None
         if terms is None:  # the block fails at or before its largest |z|
             return rows, 0
@@ -272,16 +271,22 @@ def _ml_point(params: MLParams, z: float, table: tuple) -> float:
     if terms is None:
         raise NonConvergenceError(
             f"series for E_({params.alpha},{params.beta})({z}) did not reach "
-            f"tail_tol={ML_TAIL_TOL} within {params.max_terms} terms"
+            f"tail_tol={ML_TAIL_TOL} within {ML_MAX_TERMS} terms"
         )
     return _ml_sum(params, z, terms)
 
 
 def _ml_sum(params: MLParams, z: float, terms: list[float]) -> float:
-    """fsum of a point's terms, or NonConvergenceError where the rounding
-    bound 2^-52 sum_k |t_k| exceeds ML_ROUNDING_TOL * max(1, |sum|)."""
-    result = math.fsum(terms)
-    rounding = math.fsum(map(abs, terms)) * 2.0 ** -52
+    """fsum of a point's terms, or NonConvergenceError where a sum passes
+    double range or the rounding bound 2^-52 sum_k |t_k| exceeds
+    ML_ROUNDING_TOL * max(1, |sum|)."""
+    try:
+        result = math.fsum(terms)
+        rounding = math.fsum(map(abs, terms)) * 2.0 ** -52
+    except OverflowError as exc:
+        raise NonConvergenceError(
+            f"series for E_({params.alpha},{params.beta})({z}) sums past double range"
+        ) from exc
     if rounding > ML_ROUNDING_TOL * max(1.0, abs(result)):
         raise NonConvergenceError(
             f"series for E_({params.alpha},{params.beta})({z}) cancels: "
@@ -293,7 +298,7 @@ def _ml_sum(params: MLParams, z: float, terms: list[float]) -> float:
 
 def _ml_terms(params: MLParams, z: float, table: tuple) -> list[float] | None:
     """The series' terms up to and including the first that stops it, or
-    None if max_terms is reached first; grows table as needed."""
+    None if ML_MAX_TERMS is reached first; grows table as needed."""
     lg, pos, neg = table
     k = 0
     try:
@@ -302,16 +307,16 @@ def _ml_terms(params: MLParams, z: float, table: tuple) -> list[float] | None:
             denom = math.inf if g <= 0.0 and g == math.floor(g) else math.gamma(g)
             if denom == 0.0 or math.isinf(1.0 / denom):  # 1/Gamma out of range
                 raise OverflowError
-            return [1.0 / denom, 0.0] if params.max_terms > 1 else None
+            return [1.0 / denom, 0.0] if ML_MAX_TERMS > 1 else None
         log_z = math.log(abs(z))
         sign = neg if z < 0.0 else pos
         exp, tail_tol = math.exp, ML_TAIL_TOL
         terms: list[float] = []
         prev = math.inf
-        while k < params.max_terms:
+        while k < ML_MAX_TERMS:
             if k == len(lg):
                 _grow(params, table)
-            end = min(len(lg), params.max_terms)
+            end = min(len(lg), ML_MAX_TERMS)
             for k in range(k, end):
                 t = sign[k] * exp(k * log_z - lg[k])
                 terms.append(t)

@@ -5,11 +5,14 @@ The tests hold the array evaluator to this loop bit for bit: the same
 terms, the same stopping rule, the same fsum and rounding check, and the
 same error class and message at the same point.  At z != 0 a pole's zero
 term does not stop the series, and a 1/Gamma beyond double range (Gamma
-underflowing to 0 off a pole) overflows like any other term.
+underflowing to 0 off a pole) overflows like any other term.  The term
+budget is `specfun.ML_MAX_TERMS`, read at call time, so a test that
+patches it patches both.
 """
 
 import math
 
+from fraclode import specfun
 from fraclode.errors import DomainError, NonConvergenceError
 from fraclode.specfun import ML_MAX_ABS_Z, ML_ROUNDING_TOL, ML_TAIL_TOL
 
@@ -42,7 +45,7 @@ def per_point_ml(params, z):
         raise DomainError(f"|z| = {abs(z)} outside documented domain |z| <= {ML_MAX_ABS_Z}")
     terms = []
     prev = math.inf
-    for k in range(params.max_terms):
+    for k in range(specfun.ML_MAX_TERMS):
         g = params.alpha * k + params.beta
         try:
             t = series_term(z, k, g)
@@ -55,8 +58,13 @@ def per_point_ml(params, z):
         at = abs(t)
         pole = z != 0.0 and g <= 0.0 and g == math.floor(g)
         if at <= ML_TAIL_TOL and at <= prev and k > 0 and not pole:
-            result = math.fsum(terms)
-            rounding = math.fsum(abs(t) for t in terms) * 2.0 ** -52
+            try:
+                result = math.fsum(terms)
+                rounding = math.fsum(abs(t) for t in terms) * 2.0 ** -52
+            except OverflowError as exc:
+                raise NonConvergenceError(
+                    f"series for E_({params.alpha},{params.beta})({z}) sums past double range"
+                ) from exc
             if rounding > ML_ROUNDING_TOL * max(1.0, abs(result)):
                 raise NonConvergenceError(
                     f"series for E_({params.alpha},{params.beta})({z}) cancels: "
@@ -67,7 +75,7 @@ def per_point_ml(params, z):
         prev = at
     raise NonConvergenceError(
         f"series for E_({params.alpha},{params.beta})({z}) did not reach "
-        f"tail_tol={ML_TAIL_TOL} within {params.max_terms} terms"
+        f"tail_tol={ML_TAIL_TOL} within {specfun.ML_MAX_TERMS} terms"
     )
 
 

@@ -215,6 +215,17 @@ def test_stability_inconclusive_cases():
     assert zero.verdict is Verdict.INCONCLUSIVE
 
 
+def test_stability_non_real_spectrum_with_positive_eigenvalue():
+    # blockdiag([[0, 1], [-1, 0]], [[1]]): eigenvalues +-i and 1.  The
+    # real positive eigenvalue decides, and the spectrum is not reported.
+    A = np.zeros((3, 3))
+    A[:2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
+    A[2, 2] = 1.0
+    report = stability_verdict(A)
+    assert report.verdict is Verdict.UNSTABLE
+    assert report.non_real and report.eigenvalues is None
+
+
 def test_stability_of_an_empty_system():
     # No eigenvalue is real and non-negative, so the first rule holds
     # vacuously; np.max of the empty imaginary parts raised ValueError.

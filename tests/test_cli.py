@@ -76,7 +76,7 @@ def test_solve_schema_error_names_field(tmp_path):
     assert "'A'" in result.stderr
 
 
-@pytest.mark.parametrize("field", ["x0", "alpha", "t0", "tol", "simpson_tol"])
+@pytest.mark.parametrize("field", ["x0", "alpha", "t0", "tol"])
 @pytest.mark.parametrize("value", [None, "abc", True, [None], float("nan")])
 def test_solve_non_numeric_field_is_schema_error(tmp_path, capsys, field, value):
     # In-process, so an escaping ValueError or TypeError fails the test
@@ -109,31 +109,50 @@ def test_stability_malformed_matrix_is_schema_error(tmp_path, capsys, matrix):
     assert "'A'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["tol", "simpson_tol"])
-def test_solve_nonpositive_tolerance_is_schema_error(tmp_path, capsys, field):
+def test_solve_nonpositive_tolerance_is_schema_error(tmp_path, capsys):
     from fraclode.cli import main
 
-    spec = write_spec(tmp_path, "p.json", dict(BASIC_SPEC, **{field: 0.0}))
+    spec = write_spec(tmp_path, "p.json", dict(BASIC_SPEC, tol=0.0))
     assert main(["solve", "--config", spec, "--out", str(tmp_path / "o.csv")]) == 2
-    assert f"'{field}'" in capsys.readouterr().err
+    assert "'tol'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["from_one", "FROM_ZERO", None, 0, ["from_zero"]])
-def test_solve_sum_range_other_than_full_is_schema_error(tmp_path, capsys, value):
+@pytest.mark.parametrize("field, value", [
+    ("metod", "rectangle"),
+    ("simpson_tol", 1e-10),
+    ("sum_range", "from_zero"),
+    ("sum_range", "from_one"),
+    ("B", [[1.0]]),  # B is read only with eps_ladder
+    ("", 0),
+])
+def test_solve_unknown_field_is_schema_error(tmp_path, capsys, field, value):
     from fraclode.cli import main
 
-    spec = write_spec(tmp_path, "p.json", dict(BASIC_SPEC, sum_range=value))
-    assert main(["solve", "--config", spec, "--out", str(tmp_path / "o.csv")]) == 2
-    assert "'sum_range'" in capsys.readouterr().err
+    spec = write_spec(tmp_path, "p.json", dict(BASIC_SPEC, **{field: value}))
+    out = tmp_path / "o.csv"
+    assert main(["solve", "--config", spec, "--out", str(out)]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_solve_sum_range_from_zero_same_as_omitted(tmp_path):
-    plain = write_spec(tmp_path, "a.json", BASIC_SPEC)
-    full = write_spec(tmp_path, "b.json", dict(BASIC_SPEC, sum_range="from_zero"))
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_cli("solve", "--config", plain, "--out", str(out1)).returncode == 0
-    assert run_cli("solve", "--config", full, "--out", str(out2)).returncode == 0
-    assert out1.read_bytes() == out2.read_bytes()
+@pytest.mark.parametrize("field", ["t0", "tol", "metod", "A"])
+def test_table_unknown_field_is_schema_error(tmp_path, capsys, field):
+    from fraclode.cli import main
+
+    case = {"a": -2.0, "alphas": [1 / 3], "interval": [0.02, 0.5], "h": 0.02, field: 0.1}
+    spec = write_spec(tmp_path, "case.json", case)
+    assert main(["table", "--config", spec, "--out", str(tmp_path / "t.csv")]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+
+
+def test_stability_reads_only_a_of_a_solve_spec(tmp_path, capsys):
+    from fraclode.cli import main
+
+    payload = dict(BASIC_SPEC, method="simpson", tol=1e-6, B=[[1.0]], eps_ladder=[1e-2, 1e-3],
+                   metod="rectangle")
+    spec = write_spec(tmp_path, "p.json", payload)
+    assert main(["stability", "--config", spec]) == 0
+    assert capsys.readouterr().out.strip() == "AsymptoticallyStable"
 
 
 def test_solve_bad_method_is_schema_error(tmp_path):
@@ -291,26 +310,46 @@ def test_table_replica_case(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
-def test_table_method_and_h_overrides(tmp_path):
-    case = {"a": -2.0, "alphas": [1 / 3], "interval": [0.02, 0.5], "h": 0.02}
-    spec = write_spec(tmp_path, "case.json", case)
-    out = tmp_path / "t.csv"
-    result = run_cli(
-        "table", "--config", spec, "--out", str(out), "--method", "simpson", "--h", "0.01"
-    )
-    assert result.returncode == 0, result.stderr
-    _, rows = read_csv(out)
-    assert rows.shape == (1, 3)
-
-
-@pytest.mark.parametrize("h", ["nan", "inf", "0"])
-def test_table_h_override_like_spec_h(tmp_path, capsys, h):
-    # --h is checked by the rule of the spec's h: a finite positive number.
+def test_table_reads_method_and_h_from_the_case(tmp_path):
     from fraclode.cli import main
 
-    case = {"a": -2.0, "alphas": [1 / 3], "interval": [0.02, 0.5], "h": 0.02}
+    outs = {}
+    for method in ("simpson", "rectangle"):
+        case = {"a": -2.0, "alphas": [1 / 3], "interval": [0.02, 0.5], "h": 0.01,
+                "method": method}
+        spec = write_spec(tmp_path, f"{method}.json", case)
+        outs[method] = tmp_path / f"{method}.csv"
+        assert main(["table", "--config", spec, "--out", str(outs[method])]) == 0
+        assert read_csv(outs[method])[1].shape == (1, 3)
+    assert outs["simpson"].read_bytes() != outs["rectangle"].read_bytes()
+
+
+@pytest.mark.parametrize("argv", [("table", "--method", "simpson"), ("table", "--h", "0.01"),
+                                  ("stability", "--verbose"), ("solve", "--h"),
+                                  ("solve", "--verb")])
+def test_removed_or_abbreviated_flags_are_usage_errors(tmp_path, argv):
+    # The case's own method and h are the only ones, stability prints no
+    # banner, and no flag is read as the abbreviation of another.
+    if argv[0] == "solve":
+        case, rest = BASIC_SPEC, ["--out", str(tmp_path / "o.csv")]
+    elif argv[0] == "table":
+        case = {"a": -2.0, "alphas": [1 / 3], "interval": [0.02, 0.5], "h": 0.02}
+        rest = ["--out", str(tmp_path / "t.csv")]
+    else:
+        case, rest = {"A": [[-2.0]]}, []
     spec = write_spec(tmp_path, "case.json", case)
-    assert main(["table", "--config", spec, "--out", str(tmp_path / "t.csv"), "--h", h]) == 2
+    result = run_cli(argv[0], "--config", spec, *rest, *argv[1:])
+    assert result.returncode == 2
+    assert "unrecognized arguments" in result.stderr
+
+
+@pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0])
+def test_table_non_finite_or_zero_h_is_schema_error(tmp_path, capsys, h):
+    from fraclode.cli import main
+
+    case = {"a": -2.0, "alphas": [1 / 3], "interval": [0.02, 0.5], "h": h}
+    spec = write_spec(tmp_path, "case.json", case)
+    assert main(["table", "--config", spec, "--out", str(tmp_path / "t.csv")]) == 2
     assert "'h'" in capsys.readouterr().err
 
 
@@ -332,6 +371,13 @@ def test_mlf_values():
     assert float(result.stdout.strip()) == pytest.approx(
         math.exp(1.0) * math.erfc(-1.0), abs=1e-8
     )
+
+
+def test_mlf_sum_past_double_range_is_solver_error():
+    # E_{1/2}(26.7) is about e^713: every term is finite, the sum is not.
+    result = run_cli("mlf", "0.5", "1", "26.7")
+    assert result.returncode == 3
+    assert "NonConvergenceError" in result.stderr and "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("args", [("inf", "1", "0.5"), ("0.5", "nan", "1"), ("0.5", "1", "nan")])
@@ -357,6 +403,13 @@ def test_stability_exit_codes(tmp_path):
     assert result.returncode == 5
     assert result.stdout.strip() == "Inconclusive"
 
+    # blockdiag([[0, 1], [-1, 0]], [[1]]): eigenvalues +-i and 1.
+    mixed = write_spec(tmp_path, "m.json", {"A": [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0],
+                                                  [0.0, 0.0, 1.0]]})
+    result = run_cli("stability", "--config", mixed)
+    assert result.returncode == 4
+    assert result.stdout.strip() == "Unstable"
+
 
 def test_invalid_json_is_schema_error(tmp_path):
     path = tmp_path / "broken.json"
@@ -369,7 +422,7 @@ def test_verbose_banner(tmp_path):
     spec = write_spec(tmp_path, "p.json", BASIC_SPEC)
     result = run_cli("solve", "--config", spec, "--out", str(tmp_path / "o.csv"), "--verbose")
     assert result.returncode == 0
-    assert "simpson_tol" in result.stderr
+    assert "SIMPSON_TOL=1e-10" in result.stderr
 
 
 def test_solve_method_defaults_to_simpson(tmp_path):
@@ -421,6 +474,11 @@ def _optional(valid, invalid=st.nothing()):
     return _mostly(st.just(_ABSENT), st.one_of(valid, invalid, _JUNK), odds=2)
 
 
+def _rare(value):
+    """A field the command does not read: absent but about once in ten draws."""
+    return _mostly(st.just(_ABSENT), value, odds=10)
+
+
 _NUM = st.floats(-3.0, 3.0, allow_nan=False)
 #: Orders whose odd fractions are small, so a fuzzed solve stays cheap;
 #: 0.5 has none at the default tolerance.
@@ -453,11 +511,13 @@ def _solve_spec(draw):
         "method": _optional(st.sampled_from(["simpson", "rectangle"]),
                             st.sampled_from(["trapezoid", None])),
         "tol": _optional(st.sampled_from([1e-12, 1e-3]), st.sampled_from([0.0, -1.0])),
-        "simpson_tol": _optional(st.sampled_from([1e-10, 1e-6]), st.just(0.0)),
-        "sum_range": _optional(st.just("from_zero"), st.just("from_one")),
         "eps_ladder": _optional(st.just([1e-2, 1e-3]),
                                 st.lists(st.sampled_from([1e-2, 0.0, -1e-2]), max_size=3)),
         "B": _optional(_matrix(n), _matrix(n % 3 + 1)),
+        # Fields solve does not read.
+        "simpson_tol": _rare(st.sampled_from([1e-10, 0.0])),
+        "sum_range": _rare(st.just("from_zero")),
+        "metod": _rare(st.just("rectangle")),
     }
     spec = {k: draw(v) for k, v in fields.items()}
     return {k: v for k, v in spec.items() if v is not _ABSENT}
@@ -474,6 +534,9 @@ def _table_spec(draw):
         "interval": _field(interval, st.lists(st.integers(-5, 5), max_size=3)),
         "h": _field(st.sampled_from([0.02, 0.1]), st.sampled_from([0.0, -0.1, 1e-9])),
         "method": _optional(st.sampled_from(["simpson", "rectangle"]), st.just("trapezoid")),
+        # Fields table does not read.
+        "t0": _rare(st.just(0.0)),
+        "x0": _rare(st.just([1.0])),
     }
     spec = {k: draw(v) for k, v in fields.items()}
     return {k: v for k, v in spec.items() if v is not _ABSENT}
@@ -497,10 +560,16 @@ def _run_in_process(command, spec, tmp_path_factory):
 @given(spec=_solve_spec())
 @settings(max_examples=80, deadline=None)
 def test_fuzzed_solve_specs_exit_cleanly(spec, tmp_path_factory):
-    assert _run_in_process("solve", spec, tmp_path_factory) in (0, 2, 3)
+    from fraclode.cli import SOLVE_FIELDS
+
+    expected = (2,) if set(spec) - set(SOLVE_FIELDS) else (0, 2, 3)
+    assert _run_in_process("solve", spec, tmp_path_factory) in expected
 
 
 @given(spec=_table_spec())
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_table_specs_exit_cleanly(spec, tmp_path_factory):
-    assert _run_in_process("table", spec, tmp_path_factory) in (0, 2, 3)
+    from fraclode.cli import TABLE_FIELDS
+
+    expected = (2,) if set(spec) - set(TABLE_FIELDS) else (0, 2, 3)
+    assert _run_in_process("table", spec, tmp_path_factory) in expected

@@ -69,9 +69,9 @@ def test_all_is_sorted_unique_resolvable_and_pinned():
 SIGNATURES = {
     "CauchyProblem": ["A", "x0", "t0", "order"],
     "FractionalOrder": ["alpha", "p", "q", "achieved_error"],
-    "MLParams": ["alpha", "beta", "max_terms"],
+    "MLParams": ["alpha", "beta"],
     "Quadrature": ["rectangle", "simpson"],
-    "SolveConfig": ["grid", "quadrature", "simpson_tol"],
+    "SolveConfig": ["grid", "quadrature"],
     "SpectralDecomposition": ["T", "lambdas", "T_inv", "recon_error"],
     "StabilityVerdict": ["verdict", "eigenvalues", "non_real"],
     "StudyRow": ["alpha", "sup_deviation", "nev"],
@@ -139,7 +139,6 @@ NON_FINITE_CASES = dict([
     ("CauchyProblem.t0", lambda v: fl.CauchyProblem(A=[[-2.0]], x0=[1.0], t0=v, order=ORDER)),
     ("CauchyProblem.A", lambda v: fl.CauchyProblem(A=[[v]], x0=[1.0], t0=0.0, order=ORDER)),
     ("CauchyProblem.x0", lambda v: fl.CauchyProblem(A=[[-2.0]], x0=[v], t0=0.0, order=ORDER)),
-    ("SolveConfig.simpson_tol", lambda v: fl.SolveConfig(grid=[0.5], simpson_tol=v)),
     ("solve_matrix.grid", lambda v: fl.solve_matrix(PROBLEM, fl.SolveConfig(grid=[0.5, v]))),
     ("solve_matrix.grid.alpha_one",
      lambda v: fl.solve_matrix(PROBLEM_1, fl.SolveConfig(grid=[0.5, v]))),

@@ -322,7 +322,7 @@ def test_quad_matches_frozen_values():
 
 
 def test_quad_matches_frozen_values_tight():
-    # The Gauss–Jacobi rules settle far below simpson_tol: the fixture's
+    # The Gauss–Jacobi rules settle far below SIMPSON_TOL: the fixture's
     # 50-digit values hold to 1e-12 relative, not just the 1e-7 above.
     from fraclode.rational_order import FractionalOrder
 
@@ -342,7 +342,7 @@ def test_quad_matches_frozen_values_tight():
 def test_quad_stiff_cancelling_rung_fails_fast():
     # lam = -5, alpha = 3/7: |r| u reaches 43 and the sections cancel to
     # ~e^21 * 1e-16 relative to their scale, so no rule can settle to
-    # simpson_tol.  _modes compares that rounding floor with simpson_tol
+    # SIMPSON_TOL.  _modes compares that rounding floor with SIMPSON_TOL
     # before any grid work and builds no rule, so the error comes at once;
     # the second call is timed.
     grid = _grid(0.01, 1.01)
@@ -369,14 +369,14 @@ def test_quad_stiff_decaying_rung_without_cancellation():
 
 
 #: solve_scalar_quad at lam = -4, alpha = 3/7, on t = 0.05, 0.5, 1.01.
-#: They are off the true solution by up to 7.3e-5 of max|x|: simpson_tol
+#: They are off the true solution by up to 7.3e-5 of max|x|: SIMPSON_TOL
 #: bounds the rules' disagreement relative to e^(|r| u / 2), not to x.
 STIFF_EDGE_VALUES = [0.4108131247474691, 0.19308139411594993, 0.1476778849028051]
 
 
 def test_quad_rounding_floor_check_at_three_sevenths(monkeypatch):
     # At alpha = 3/7 on t <= 1.01 the floor 2^-52 e^(|r| u / 2) crosses
-    # simpson_tol = 1e-10 at |lam| = 4.026.  Below it the rules run and
+    # SIMPSON_TOL = 1e-10 at |lam| = 4.026.  Below it the rules run and
     # lam = -4 still returns its values; from -4.02 on the solve raises,
     # past the crossing before any exp_section call on the grid.
     grid = _grid(0.01, 1.01)
@@ -520,7 +520,7 @@ def test_modes_recompose_to_classical_exponential_at_alpha_one(data):
     problem = CauchyProblem(A=T @ np.diag(lams) @ np.linalg.inv(T), x0=x0, t0=0.0,
                             order=ORDER_1)
     grid = np.linspace(0.1, 2.0, 20)
-    _, Y = _modes(lams, ORDER_1, 0.0, grid, Quadrature.RECTANGLE, 1e-10)
+    _, Y = _modes(lams, ORDER_1, 0.0, grid, Quadrature.RECTANGLE)
     got = (Y * np.linalg.solve(T, x0)) @ T.T
     ref = classical_exponential(problem, grid).states
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -175,7 +175,7 @@ def test_ml_at_zero_is_inverse_gamma_beta():
 
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, [0.5, math.nan]])
 def test_ml_rejects_non_finite_z(z):
-    # Before any series work: a NaN would otherwise run all max_terms.
+    # Before any series work: a NaN would otherwise run all ML_MAX_TERMS terms.
     with pytest.raises(DomainError, match="z must be finite, got (nan|inf|-inf)"):
         mittag_leffler(MLParams(alpha=0.5), np.array(z))
 
@@ -200,11 +200,12 @@ def test_ml_monotone_for_nonnegative_z(alpha):
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_ml_domain_and_budget_errors():
+def test_ml_domain_and_budget_errors(monkeypatch):
     with pytest.raises(DomainError):
         mittag_leffler(MLParams(alpha=0.5), 31.0)
-    with pytest.raises(NonConvergenceError):
-        mittag_leffler(MLParams(alpha=0.5, max_terms=3), 5.0)
+    monkeypatch.setattr(specfun, "ML_MAX_TERMS", 3)
+    with pytest.raises(NonConvergenceError, match="within 3 terms"):
+        mittag_leffler(MLParams(alpha=0.5), 5.0)
 
 
 @pytest.mark.parametrize("alpha, z", [(1 / 3, -4.0), (3 / 7, -5.0)])
@@ -253,10 +254,12 @@ def test_ml_array_matches_per_point_loop(alpha, beta, zs, scale, max_terms):
     # scalar loop's exactly.  z lies in [-30, 30]; the scales and the
     # small term budgets mix values with overflow, cancellation and
     # budget failures.
-    params = MLParams(alpha=alpha, beta=beta, max_terms=max_terms)
+    params = MLParams(alpha=alpha, beta=beta)
     zs = [scale * z for z in zs]
-    ref = per_point_outcome(params, zs)
-    got = _array_outcome(params, zs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specfun, "ML_MAX_TERMS", max_terms)
+        ref = per_point_outcome(params, zs)
+        got = _array_outcome(params, zs)
     if isinstance(ref, tuple):
         assert got == ref
     else:
@@ -310,25 +313,31 @@ def test_ml_gamma_beta_underflow_matches_reference():
             assert error is NonConvergenceError and "k=0" in message
 
 
-def test_ml_lgamma_branch_matches_reference():
+def test_ml_lgamma_branch_matches_reference(monkeypatch):
     # At alpha = 1/4, z = 3.5 the series runs past alpha k + 1 = 171 (a
     # budget of 681 terms is not enough), where the table switches from
     # log|gamma| to lgamma.
     params = MLParams(alpha=0.25)
-    assert per_point_outcome(MLParams(0.25, 1.0, 681), [3.5])[0] is NonConvergenceError
+    with monkeypatch.context() as mp:
+        mp.setattr(specfun, "ML_MAX_TERMS", 681)
+        assert per_point_outcome(params, [3.5])[0] is NonConvergenceError
     assert isinstance(_matches_reference(params, [3.5, 0.1, 2.0]), np.ndarray)
     assert _matches_reference(params, [3.5, -3.5])[0] is NonConvergenceError
 
 
-def test_ml_budget_at_the_stop_index_matches_reference():
+def test_ml_budget_at_the_stop_index_matches_reference(monkeypatch):
     # z = -2 at alpha = 1/3 needs 139 terms, past two growths of the
     # table; a budget one or two short fails with the scalar loop's message.
+    params = MLParams(1 / 3)
     n = 1  # the least budget with which the scalar loop returns a value
-    while isinstance(per_point_outcome(MLParams(1 / 3, 1.0, n), [-2.0]), tuple):
+    monkeypatch.setattr(specfun, "ML_MAX_TERMS", n)
+    while isinstance(per_point_outcome(params, [-2.0]), tuple):
         n += 1
+        monkeypatch.setattr(specfun, "ML_MAX_TERMS", n)
     assert n == 139
     for max_terms in (n - 2, n - 1, n, n + 1, 64, 65, 128):
-        got = _matches_reference(MLParams(1 / 3, 1.0, max_terms), [0.1, -2.0])
+        monkeypatch.setattr(specfun, "ML_MAX_TERMS", max_terms)
+        got = _matches_reference(params, [0.1, -2.0])
         assert isinstance(got, np.ndarray) == (max_terms >= n)
 
 
@@ -369,13 +378,6 @@ def _same_outcome(ref, got):
         assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 
 
-def _outcome_or_overflow(outcome, params, zs):
-    try:
-        return outcome(params, zs)
-    except OverflowError as exc:
-        return OverflowError, str(exc)
-
-
 @given(
     alpha=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
     beta=st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0]),
@@ -390,13 +392,15 @@ def test_ml_blocks_match_per_point_loop(alpha, beta, zs, scale, max_terms, block
     # With at most `block` terms formed at once, a call spans many blocks
     # of a few points each, the largest |z| anywhere in them; zeros and
     # beta <= 0 poles fall mid-array.  Each value and the first failure
-    # must be the scalar loop's, an overflowing fsum's OverflowError too.
-    params = MLParams(alpha=alpha, beta=beta, max_terms=max_terms)
+    # must be the scalar loop's, a sum past double range too.
+    params = MLParams(alpha=alpha, beta=beta)
     zs = [scale * z for z in zs]
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specfun, "ML_MAX_TERMS", max_terms)
+        ref = per_point_outcome(params, zs)
         mp.setattr(specfun, "ML_BLOCK_ELEMENTS", block)
-        got = _outcome_or_overflow(_array_outcome, params, zs)
-    _same_outcome(_outcome_or_overflow(per_point_outcome, params, zs), got)
+        got = _array_outcome(params, zs)
+    _same_outcome(ref, got)
 
 
 def _count_blocks(monkeypatch):
@@ -448,18 +452,21 @@ def test_ml_zero_results_keep_their_sign():
     assert got[6] < 0.0
 
 
-def test_ml_sum_past_double_range_fails_as_the_loop_does():
+def test_ml_sum_past_double_range_raises_non_convergence():
     # E_{1/2}(26.7) = e^(26.7^2) erfc(-26.7) lies past double range while
-    # every term is finite, so the loop's fsum overflows; where -6, which
-    # cancels, comes first, it raises first.  Nothing may warn.
+    # every term is finite, so fsum overflows: that is NonConvergenceError,
+    # for a scalar z and in an array, where -6, which cancels, raises
+    # first when it comes first.  Nothing may warn.
     params = MLParams(alpha=0.5)
-    for zs in ([26.7], [1.0, 26.7], [1.0, -6.0, 26.7]):
-        ref = _outcome_or_overflow(per_point_outcome, params, zs)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _outcome_or_overflow(_array_outcome, params, zs)
-        assert got == ref
-    assert ref[0] is NonConvergenceError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError, match="sums past double range"):
+            mittag_leffler(params, 26.7)
+        for zs in ([26.7], [26.7, 1.0], [1.0, 26.7], [1.0, -6.0, 26.7]):
+            got = _array_outcome(params, zs)
+            assert got == per_point_outcome(params, zs)
+            assert got[0] is NonConvergenceError
+            assert ("cancels" if -6.0 in zs else "sums past double range") in got[1]
 
 
 def test_ml_scalar_returns_float_and_empty_array_returns_empty():
@@ -472,14 +479,9 @@ def test_ml_scalar_returns_float_and_empty_array_returns_empty():
 
 
 def test_ml_params_validation():
-    with pytest.raises(DomainError):
-        MLParams(alpha=0.0)
-    with pytest.raises(DomainError):
-        MLParams(alpha=0.5, max_terms=0)
-    # A float budget passed validation, then raised TypeError in the series.
-    for max_terms in (1.5, 2.0, "3"):
-        with pytest.raises(DomainError, match="max_terms must be an integer >= 1"):
-            MLParams(alpha=0.5, max_terms=max_terms)
+    for alpha in (0.0, -0.5):
+        with pytest.raises(DomainError, match="alpha must be positive"):
+            MLParams(alpha=alpha)
 
 
 @pytest.mark.parametrize("alpha, beta", [(math.inf, 1.0), (math.nan, 1.0), (0.5, math.nan),
