@@ -14,10 +14,10 @@ from .errors import DomainError, NonUniformGridError
 from .linalg import IMAG_TOL_SCALE, as_matrix, max_abs
 from .rational_order import approximate_order, DEFAULT_TOL
 from .solver import (
-    MAX_GRID_POINTS,
     CauchyProblem,
     Quadrature,
     Trajectory,
+    _step_grid,
     _time_rounding,
     solve_scalar_quad,
     solve_scalar_rect,
@@ -26,18 +26,15 @@ from .solver import (
 
 def gl_weights(alpha: float, count: int) -> np.ndarray:
     """First `count` Grunwald-Letnikov weights: w_0 = 1,
-    w_j = w_{j-1} * (j - 1 - alpha)/j (equivalently 1 - (alpha+1)/j,
-    rearranged so w_1 = -alpha holds exactly in floating point).  count
-    must be an integer >= 1."""
+    w_j = w_{j-1} * (j - 1 - alpha)/j, one cumulative product (the factor
+    equals 1 - (alpha+1)/j, rearranged so w_1 = -alpha holds exactly in
+    floating point).  count must be an integer >= 1."""
     if not np.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha}")
     if not isinstance(count, numbers.Integral) or count < 1:
         raise DomainError(f"count must be an integer >= 1, got {count!r}")
-    w = np.empty(count)
-    w[0] = 1.0
-    for j in range(1, count):
-        w[j] = w[j - 1] * ((j - 1.0 - alpha) / j)
-    return w
+    j = np.arange(1.0, count)
+    return np.cumprod(np.concatenate(([1.0], (j - 1.0 - alpha) / j)))
 
 
 def gl_derivative(samples, alpha: float, h: float) -> np.ndarray:
@@ -86,7 +83,7 @@ def residual_nev(problem: CauchyProblem, traj: Trajectory) -> float:
         )
     h = float(times[-1] - problem.t0) / K
     off = np.max(np.abs(times - problem.t0 - h * np.arange(1, K + 1)))
-    if not h > 0.0 or off > 1e-9 * h + _time_rounding(times, problem.t0):
+    if not h > 0.0 or off > 1e-9 * h + _time_rounding(problem.t0, times[0], times[-1]):
         raise NonUniformGridError("residual metric requires the grid t0 + h, ..., t0 + K h")
     shifted = np.vstack((np.zeros((1, problem.n)), states - problem.x0))
     D = gl_derivative(shifted, problem.order.value, h)[1:]
@@ -146,9 +143,10 @@ def convergence_study(a: float, alphas, t0: float, t_end: float, h: float,
     """Solve D^alpha x = a x over the alpha ladder; per alpha record the
     sup deviation from x0 e^{a (t-t0)} and the residual metric nev.
 
-    Grid: t0 + h, t0 + 2h, ..., up to t_end (K = round((t_end - t0)/h)
-    points); a (t_end - t0)/h past MAX_GRID_POINTS raises DomainError
-    before the grid is built.  For alpha < 1, nev is `residual_nev`.  At
+    Grid: the points t0 + h, t0 + 2h, ..., t0 + K h of `solver._step_grid`
+    after t0, which stop at t_end: K = floor((t_end - t0)/h + 1e-9), up to
+    the rounding of the times.  A grid past MAX_GRID_POINTS raises
+    DomainError before it is built.  For alpha < 1, nev is `residual_nev`.  At
     alpha = 1 it uses the exact differentiator of an exponential,
     x_k ln(x_k / x_{k-1}) / h, so nev reflects pure roundoff, matching the
     ladder's machine-zero bottom row; like `residual_nev` it skips t0 + h.
@@ -158,22 +156,15 @@ def convergence_study(a: float, alphas, t0: float, t_end: float, h: float,
         raise DomainError("alphas must be nonempty")
     if not (0.0 < h < np.inf and -np.inf < t0 < t_end < np.inf):
         raise DomainError(f"need finite h > 0 and t0 < t_end, got {h}, {t0}, {t_end}")
-    steps = (float(t_end) - float(t0)) / float(h)  # inf where it passes floating range
-    if not steps <= MAX_GRID_POINTS:
-        raise DomainError(f"the study grid of (t_end - t0)/h = {steps:.3g} points "
-                          f"exceeds the limit of {MAX_GRID_POINTS}")
-    K = int(round(steps))
-    if K < 2:
+    grid = _step_grid(float(t0), float(t_end), float(h))[1:]
+    if len(grid) < 2:
         raise DomainError("grid must contain at least 2 points")
-    grid = t0 + h * np.arange(1, K + 1)
+    solve = solve_scalar_rect if backend is Quadrature.RECTANGLE else solve_scalar_quad
 
     rows: list[StudyRow] = []
     for alpha in alphas:
         order = approximate_order(alpha, tol=order_tol)
-        if backend is Quadrature.RECTANGLE:
-            traj = solve_scalar_rect(a, x0, order, t0, grid)
-        else:
-            traj = solve_scalar_quad(a, x0, order, t0, grid)
+        traj = solve(a, x0, order, t0, grid)
         x = traj.values
         sup_dev = float(np.max(np.abs(x - x0 * np.exp(a * (grid - t0)))))
         if order.q == 0:

@@ -25,12 +25,12 @@ from .analysis import Verdict, convergence_study, stability_verdict
 from .errors import DomainError, FraclodeError
 from .rational_order import DEFAULT_TOL, approximate_order
 from .solver import (
-    MAX_GRID_POINTS,
-    SIMPSON_TOL,
     CauchyProblem,
     Quadrature,
     SolveConfig,
     _check_times,
+    _step_count,
+    _step_grid,
     solve_limit_perturbation,
     solve_matrix,
 )
@@ -120,23 +120,19 @@ def _parse_matrix(spec: dict, field: str):
 
 def _parse_grid(spec: dict, t0: float) -> np.ndarray:
     grid = _require(spec, "grid")
-    if isinstance(grid, dict):
-        for key in ("start", "end", "step"):
-            if key not in grid:
-                raise SchemaError("grid", f"missing '{key}' in grid object")
-        start, end, step = (_number(grid[k], "grid") for k in ("start", "end", "step"))
-        if step <= 0.0 or end < start:
-            raise SchemaError("grid", "need step > 0 and end >= start")
-        steps = (end - start) / step  # may be inf
-        if steps > MAX_GRID_POINTS - 1:
-            raise SchemaError("grid", f"asks for {steps + 1:.3g} points, more than "
-                                      f"the limit of {MAX_GRID_POINTS}")
-        times = start + step * np.arange(round(steps) + 1)
-    elif isinstance(grid, list):
-        times = np.array(_numbers(grid, "grid"))
-    else:
-        raise SchemaError("grid", "must be {start,end,step} or a list of times")
     try:
+        if isinstance(grid, dict):
+            for key in ("start", "end", "step"):
+                if key not in grid:
+                    raise SchemaError("grid", f"missing '{key}' in grid object")
+            start, end, step = (_number(grid[k], "grid") for k in ("start", "end", "step"))
+            if step <= 0.0 or end < start:
+                raise SchemaError("grid", "need step > 0 and end >= start")
+            times = _step_grid(start, end, step)
+        elif isinstance(grid, list):
+            times = _numbers(grid, "grid")
+        else:
+            raise SchemaError("grid", "must be {start,end,step} or a list of times")
         return _check_times(times, t0)
     except DomainError as exc:
         raise SchemaError("grid", str(exc)) from exc
@@ -189,20 +185,12 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _banner(args) -> None:
-    if args.verbose:
-        print(f"fraclode defaults: order tol={DEFAULT_TOL}, SIMPSON_TOL={SIMPSON_TOL}",
-              file=sys.stderr)
-
-
 def cmd_solve(args) -> int:
-    _banner(args)
     spec = _load_json(args.config)
     problem, config, eps_ladder, B = _parse_problem(spec)
     if eps_ladder is not None:
         traj, gaps = solve_limit_perturbation(problem, B, eps_ladder, config)
-        if args.verbose:
-            print("ladder gaps: " + ", ".join(_fmt(g) for g in gaps), file=sys.stderr)
+        print("ladder gaps: " + ", ".join(_fmt(g) for g in gaps), file=sys.stderr)
     else:
         traj = solve_matrix(problem, config)
     header = ["t"] + [f"x{i + 1}" for i in range(problem.n)]
@@ -212,7 +200,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_table(args) -> int:
-    _banner(args)
     spec = _load_json(args.config)
     _check_fields(spec, TABLE_FIELDS)
     a = _number(_require(spec, "a"), "a")
@@ -229,11 +216,13 @@ def cmd_table(args) -> int:
     if end <= start:
         raise SchemaError("interval", "need end > start")
     h = _positive(_require(spec, "h"), "h")
-    if (end - start) / h > MAX_GRID_POINTS - 1:
-        raise SchemaError("h", f"the study grid would exceed {MAX_GRID_POINTS} points")
-    method = _parse_method(spec.get("method"))
     # x(t0) is given one step before the first reported point.
     t0 = start - h
+    try:
+        _step_count(t0, end, h)  # the study's grid limit, before the study runs
+    except DomainError as exc:
+        raise SchemaError("h", str(exc)) from exc
+    method = _parse_method(spec.get("method"))
     rows = convergence_study(a, alphas, t0, end, h, backend=method)
     _write_csv(args.out, ["alpha", "sup_dev", "nev"],
                ([r.alpha, r.sup_deviation, r.nev] for r in rows))
@@ -270,25 +259,27 @@ def build_parser() -> argparse.ArgumentParser:
         "solve", allow_abbrev=False, help="solve a Cauchy problem from a JSON spec",
         description="Solve D^alpha x = A x, x(t0) = x0, from a JSON spec of A, x0, alpha, "
                     f"grid and the optional t0 (0), tol (order tolerance, {DEFAULT_TOL:g}), "
-                    "method and eps_ladder with B, and write t,x1,...,xn.  'method' is "
+                    "method and eps_ladder with B, and write t,x1,...,xn.  'grid' is a "
+                    "list of times or {start, end, step}, the times start + k step up "
+                    "to end.  'method' is "
                     "'simpson' (the default: Gauss-Jacobi quadrature of the integrals) "
                     "or 'rectangle' (the literal left-endpoint rule, which converges "
-                    "only like h^(1/(2q+1))).  Any other field is a schema error.")
+                    "only like h^(1/(2q+1))).  With eps_ladder the gaps between rungs "
+                    "go to stderr.  Any other field is a schema error.")
     p_solve.add_argument("--config", required=True, help="JSON problem spec")
     p_solve.add_argument("--out", required=True, help="output CSV path")
-    p_solve.add_argument("--verbose", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
 
     p_table = sub.add_parser(
         "table", allow_abbrev=False, help="alpha-ladder convergence study",
-        description="Solve D^alpha x = a x for each alpha of a case {a, alphas, interval, "
-                    "h, method (simpson by default)}, with no other field, and write "
+        description="Solve D^alpha x = a x for each alpha of a case {a, alphas, interval "
+                    "[start, end], h, method (simpson by default)}, with no other field, "
+                    "on the times start + k h up to end, and write "
                     "alpha,sup_dev,nev.  Each alpha is approximated by (2p+1)/(2q+1) "
                     f"to the default order tolerance {DEFAULT_TOL:g}, so a row "
                     "labelled 1999/2003 is solved at 999/1001.")
     p_table.add_argument("--config", required=True, help="JSON case spec")
     p_table.add_argument("--out", required=True, help="output CSV path")
-    p_table.add_argument("--verbose", action="store_true")
     p_table.set_defaults(func=cmd_table)
 
     p_mlf = sub.add_parser("mlf", allow_abbrev=False, help="evaluate E_{alpha,beta}(z)")

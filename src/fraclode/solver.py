@@ -81,8 +81,7 @@ SIMPSON_TOL = 1e-10
 TERM_TOL = 1e-17
 #: Rectangle backend: at most this many lattice nodes times eigenvalues.
 MAX_LATTICE_SIZE = 10 ** 6
-#: Most points a grid built from a step may have (the CLI's grid objects
-#: and `table`, and convergence_study); checked before any allocation.
+#: Most points a grid built from a step may have (`_step_count`).
 MAX_GRID_POINTS = 10 ** 6
 #: Gauss–Jacobi node counts of the Simpson backend: GJ_MIN_NODES, doubled
 #: up to GJ_MAX_NODES; at most GJ_BLOCK_ELEMENTS (time, eigenvalue, node)
@@ -194,10 +193,31 @@ def _check_times(times, t0: float) -> np.ndarray:
     return times
 
 
-def _time_rounding(times: np.ndarray, t0: float) -> float:
+def _time_rounding(*ts: float) -> float:
     """A bound on the rounding of a time t0 + k h, and of a step between
-    two of them: four ulps of 1 times the largest |t| of times and t0."""
-    return 4.0 * math.ulp(1.0) * max(abs(t0), abs(float(times[0])), abs(float(times[-1])))
+    two of them, where ts hold the extremes: four ulps of 1 times the
+    largest |t|."""
+    return 4.0 * math.ulp(1.0) * float(max(map(abs, ts)))
+
+
+def _step_count(start: float, end: float, step: float) -> int:
+    """N, the steps of the grid start + step k, k = 0..N, that stops at end:
+    N = floor((end - start)/step + 1e-9 + slack), which keeps a last point
+    that rounding alone puts past end.  The slack is `_time_rounding` over
+    step, at most half a step.  DomainError where the N + 1 points would
+    exceed MAX_GRID_POINTS."""
+    slack = min(0.5, _time_rounding(start, end) / step)
+    steps = (end - start) / step + 1e-9 + slack  # inf past floating range
+    if not steps < MAX_GRID_POINTS:
+        raise DomainError(f"a grid of {steps + 1:.3g} points exceeds the limit of "
+                          f"{MAX_GRID_POINTS}")
+    return math.floor(steps)
+
+
+def _step_grid(start: float, end: float, step: float) -> np.ndarray:
+    """The points start + step k, k = 0..N, N = _step_count(start, end,
+    step): the limit is checked before the grid is allocated."""
+    return start + step * np.arange(_step_count(start, end, step) + 1)
 
 
 def _rect_lattice(times: np.ndarray, t0: float,
@@ -214,7 +234,7 @@ def _rect_lattice(times: np.ndarray, t0: float,
     k_K steps.  A lattice whose size times n_eig exceeds MAX_LATTICE_SIZE
     raises DomainError before anything of that size is allocated.
     """
-    rounding = _time_rounding(times, t0)
+    rounding = _time_rounding(t0, times[0], times[-1])
     if len(times) > 1:
         diffs = np.diff(times)
         h = float(np.min(diffs))
@@ -425,22 +445,24 @@ def _modes(lams, order: FractionalOrder, t0: float, times,
     return times, Y
 
 
-def solve_scalar_rect(lam: float, y0: float, order: FractionalOrder, t0: float,
-                      grid) -> Trajectory:
-    """Left-endpoint rectangle discretization of the scalar solution (see _modes)."""
-    times, Y = _modes([lam], order, t0, grid, Quadrature.RECTANGLE)
+def _solve_scalar(lam: float, y0: float, order: FractionalOrder, t0: float, times,
+                  quadrature: Quadrature) -> Trajectory:
+    times, Y = _modes([lam], order, t0, times, quadrature)
     with _overflow_to_inf():
         states = _finite("y0", y0) * Y
     return Trajectory(times=times, states=states)
+
+
+def solve_scalar_rect(lam: float, y0: float, order: FractionalOrder, t0: float,
+                      grid) -> Trajectory:
+    """Left-endpoint rectangle discretization of the scalar solution (see _modes)."""
+    return _solve_scalar(lam, y0, order, t0, grid, Quadrature.RECTANGLE)
 
 
 def solve_scalar_quad(lam: float, y0: float, order: FractionalOrder, t0: float,
                       times) -> Trajectory:
     """Scalar solution with each integral by Gauss–Jacobi quadrature (see _modes)."""
-    times, Y = _modes([lam], order, t0, times, Quadrature.SIMPSON)
-    with _overflow_to_inf():
-        states = _finite("y0", y0) * Y
-    return Trajectory(times=times, states=states)
+    return _solve_scalar(lam, y0, order, t0, times, Quadrature.SIMPSON)
 
 
 def scalar_closed_form(lam: float, y0: float, order: FractionalOrder, t0: float,

@@ -21,10 +21,9 @@ ML_MAX_ABS_Z = 30.0
 #: Largest rounding bound 2^-52 sum_k |t_k| of the series, relative to
 #: max(1, |result|), that mittag_leffler accepts.
 ML_ROUNDING_TOL = 1e-10
-#: Past the peak term, exp_section stops once a term is below SECTION_TOL
-#: times the partial sum.
+#: Past the peak term, exp_section stops once a bound puts every next term
+#: below SECTION_TOL times the partial sum.
 SECTION_TOL = 1e-17
-_LOG_SECTION_TOL = math.log(SECTION_TOL)
 #: The series stops at the second of two consecutive shrinking terms below this.
 ML_TAIL_TOL = 1e-16
 #: Most terms mittag_leffler forms at once for a block of points.
@@ -39,21 +38,19 @@ def exp_section(x, m: int, j: int) -> np.ndarray:
     The j-th m-section of the exponential: sum_j H_{m,j} = exp and
     H_{1,0} = exp.  Every term is bounded by X^k / k!, X = max|x|, a
     bound that rises until k passes X; summation stops only past that
-    peak, once each element's last term is below SECTION_TOL times its
-    partial sum.  For x < 0 and m > 1 the terms cancel, so the absolute
+    peak.  For x < 0 and m > 1 the terms cancel, so the absolute
     accuracy there is about 1e-16 * e^|x|.
 
-    Past the peak, a term t_p that does not stop the sum yet may still
-    prove that the next one cannot change it: each element's next term
-    is |t_{p+m}| <= |t_p| phi, phi = X^m p! / (p+m)!.  Where
-    rho phi <= SECTION_TOL, rho = max |t_p| / |total| over the elements,
-    every next term is at most 1e-17 |total|, below half an ulp of total
-    (at least 2^-54 |total|, about 5.5e-17 |total|).  Adding it would
-    leave total unchanged and then stop the sum, so the sum stops one
-    term early with the same bits.  phi is taken in logs and rho only
-    once phi <= SECTION_TOL, which costs nothing where the sum needs
-    many terms; an exact cancellation, total = 0 under a term t_p != 0,
-    makes rho infinite and so never stops the sum early.
+    Past the peak, each element's next term after t_p is bounded:
+    |t_{p+m}| <= |t_p| phi, phi = X^m p! / (p+m)! < 1.  The sum stops at
+    the first p past the peak with rho phi <= SECTION_TOL, where
+    rho = max |t_p| / |total| over the elements.  Every later term is
+    then at most 1e-17 |total|, below half an ulp of total (at least
+    2^-54 |total|, about 5.5e-17 |total|), and would leave it unchanged:
+    the sum has the bits of the longer one that stops at the first term
+    below SECTION_TOL times each element's partial sum.  phi is taken in
+    logs; an exact cancellation, total = 0 under a term t_p != 0, makes
+    rho infinite and so never stops the sum.
     """
     x = np.asarray(x, dtype=float)
     if m < 1 or not 0 <= j < m:
@@ -72,16 +69,12 @@ def exp_section(x, m: int, j: int) -> np.ndarray:
         term = np.exp(power * log_abs - math.lgamma(power + 1)) if power else 1.0
         total = total + (np.copysign(term, x) if power % 2 else term)
         if power > big:
-            abs_total = np.abs(total)
-            if np.all(term <= SECTION_TOL * abs_total):
-                return total
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # 0/0 is NaN, which fmax skips; t/0 is inf.
+                rho = float(np.fmax.reduce(term / np.abs(total), axis=None, initial=0.0))
             log_phi = m * log_big - math.lgamma(power + m + 1) + math.lgamma(power + 1)
-            if log_phi <= _LOG_SECTION_TOL:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    # 0/0 is NaN, which fmax skips; t/0 is inf.
-                    rho = float(np.fmax.reduce(term / abs_total, axis=None, initial=0.0))
-                if rho * math.exp(log_phi) <= SECTION_TOL:
-                    return total
+            if rho * math.exp(log_phi) <= SECTION_TOL:
+                return total
         power += m
 
 
@@ -203,10 +196,8 @@ def _ml_block(params: MLParams, block: np.ndarray, n: int, table: tuple) -> list
     arg = np.multiply.outer(log_z, np.arange(n))  # k log|z|, as k * log_z rounds
     arg -= lg
     arg = arg.ravel().tolist()
-    try:
-        mag = np.fromiter(map(math.exp, arg), float, len(arg)).reshape(len(zl), n)
-    except OverflowError:  # not reached: the largest |z| bounds every term
-        return [_ml_point(params, zi, table) for zi in zl]
+    # No term overflows: the largest |z|, summed by _ml_span, bounds them all.
+    mag = np.fromiter(map(math.exp, arg), float, len(arg)).reshape(len(zl), n)
     del arg
     # The first k > 0 off a pole with |t_k| <= ML_TAIL_TOL and |t_k| <= |t_{k-1}|.
     stops = (mag[:, 1:] <= ML_TAIL_TOL) & (mag[:, 1:] <= mag[:, :-1]) & (lg[1:] != math.inf)
@@ -313,21 +304,18 @@ def _ml_terms(params: MLParams, z: float, table: tuple) -> list[float] | None:
         exp, tail_tol = math.exp, ML_TAIL_TOL
         terms: list[float] = []
         prev = math.inf
-        while k < ML_MAX_TERMS:
+        for k in range(ML_MAX_TERMS):
             if k == len(lg):
                 _grow(params, table)
-            end = min(len(lg), ML_MAX_TERMS)
-            for k in range(k, end):
-                t = sign[k] * exp(k * log_z - lg[k])
-                terms.append(t)
-                at = abs(t)
-                # Terms decay super-geometrically once alpha*k+beta outgrows
-                # |z|; requiring two consecutive small, shrinking terms
-                # bounds the tail.  A pole's zero term bounds nothing.
-                if at <= tail_tol and at <= prev and k > 0 and lg[k] != math.inf:
-                    return terms
-                prev = at
-            k = end
+            t = sign[k] * exp(k * log_z - lg[k])
+            terms.append(t)
+            at = abs(t)
+            # Terms decay super-geometrically once alpha*k+beta outgrows
+            # |z|; requiring two consecutive small, shrinking terms
+            # bounds the tail.  A pole's zero term bounds nothing.
+            if at <= tail_tol and at <= prev and k > 0 and lg[k] != math.inf:
+                return terms
+            prev = at
     except OverflowError as exc:
         raise NonConvergenceError(
             f"series term k={k} for E_({params.alpha},{params.beta})({z}) "

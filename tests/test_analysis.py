@@ -288,9 +288,7 @@ def test_study_far_from_zero_matches_the_study_at_zero(backend):
 
 
 def test_study_grid_limit_is_checked_before_the_grid_is_built(monkeypatch):
-    from fraclode import cli, solver
-
-    assert cli.MAX_GRID_POINTS is solver.MAX_GRID_POINTS
+    from fraclode import solver
 
     def no_grid(*args, **kwargs):
         raise AssertionError("the study built its grid")

@@ -276,6 +276,19 @@ def test_solve_eps_ladder_path(tmp_path):
     )
     # expm([[1,1],[0,1]]t) [1,1] = e^t [1+t, 1]
     assert np.max(np.abs(rows[:, 1:] - ref)) <= 1e-3
+    # The gaps between the three rungs go to stderr, with no flag asking.
+    gaps = result.stderr.strip().removeprefix("ladder gaps: ").split(", ")
+    assert len(gaps) == 2 and all(0.0 < float(g) < 1.0 for g in gaps)
+
+
+def test_solve_grid_object_stops_at_end(tmp_path):
+    # (0.38 - 0.1)/0.1 = 2.8 steps: the grid holds two, not a third to 0.4.
+    payload = dict(BASIC_SPEC, grid={"start": 0.1, "end": 0.38, "step": 0.1})
+    spec = write_spec(tmp_path, "p.json", payload)
+    out = tmp_path / "out.csv"
+    assert run_cli("solve", "--config", spec, "--out", str(out)).returncode == 0
+    _, rows = read_csv(out)
+    assert list(rows[:, 0]) == [0.1 + 0.1 * k for k in range(3)]
 
 
 def test_solve_explicit_grid_list(tmp_path):
@@ -310,6 +323,20 @@ def test_table_replica_case(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_table_study_stops_at_the_interval_end(tmp_path):
+    # The study's times are 0, 0.1, ..., 0.9 up to 0.97, not on to 1.0.
+    # At a = 2 the 1/3 row's sup_dev and nev peak at the last time.
+    from fraclode.cli import main
+
+    outs = []
+    for end in (0.97, 0.9, 1.0):
+        case = {"a": 2.0, "alphas": [1 / 3, 1.0], "interval": [0.0, end], "h": 0.1}
+        spec = write_spec(tmp_path, f"{end}.json", case)
+        outs.append(tmp_path / f"{end}.csv")
+        assert main(["table", "--config", spec, "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() != outs[2].read_bytes()
+
+
 def test_table_reads_method_and_h_from_the_case(tmp_path):
     from fraclode.cli import main
 
@@ -326,9 +353,10 @@ def test_table_reads_method_and_h_from_the_case(tmp_path):
 
 @pytest.mark.parametrize("argv", [("table", "--method", "simpson"), ("table", "--h", "0.01"),
                                   ("stability", "--verbose"), ("solve", "--h"),
-                                  ("solve", "--verb")])
+                                  ("solve", "--verb"), ("solve", "--verbose"),
+                                  ("table", "--verbose")])
 def test_removed_or_abbreviated_flags_are_usage_errors(tmp_path, argv):
-    # The case's own method and h are the only ones, stability prints no
+    # The case's own method and h are the only ones, no command prints a
     # banner, and no flag is read as the abbreviation of another.
     if argv[0] == "solve":
         case, rest = BASIC_SPEC, ["--out", str(tmp_path / "o.csv")]
@@ -416,13 +444,6 @@ def test_invalid_json_is_schema_error(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     result = run_cli("solve", "--config", str(path), "--out", str(tmp_path / "o.csv"))
     assert result.returncode == 2
-
-
-def test_verbose_banner(tmp_path):
-    spec = write_spec(tmp_path, "p.json", BASIC_SPEC)
-    result = run_cli("solve", "--config", spec, "--out", str(tmp_path / "o.csv"), "--verbose")
-    assert result.returncode == 0
-    assert "SIMPSON_TOL=1e-10" in result.stderr
 
 
 def test_solve_method_defaults_to_simpson(tmp_path):

@@ -35,11 +35,14 @@ from fraclode import (
 )
 from fraclode.linalg import eig_real_simple, expm
 from fraclode.solver import (
+    MAX_GRID_POINTS,
     MAX_LATTICE_SIZE,
     TERM_TOL,
     _fft_size,
     _modes,
     _rect_lattice,
+    _step_count,
+    _step_grid,
     _terms,
 )
 from fraclode.rational_order import FractionalOrder
@@ -285,6 +288,42 @@ def test_rect_lattice_limit_fails_before_allocating():
     problem = CauchyProblem(A=np.diag([-2.0, 3.0]), x0=[1.0, 1.0], t0=0.0, order=ORDER_13)
     with pytest.raises(DomainError, match="lattice"):
         solve_matrix(problem, SolveConfig(grid=grid))
+
+
+@given(start=st.floats(-1e4, 1e4), step=st.floats(1e-6, 10.0), n=st.integers(0, 2000),
+       frac=st.sampled_from([0.0, 0.5, 1.0 - 1e-6]) | st.floats(0.0, 1.0, exclude_max=True))
+@settings(max_examples=300, deadline=None)
+def test_step_grid_stops_at_end(start, step, n, frac):
+    end = start + step * (n + frac)
+    grid = _step_grid(start, end, step)
+    # Each point is start + step k to the bit.
+    assert grid.tobytes() == np.array([start + step * k for k in range(len(grid))]).tobytes()
+    # No point lies past end, and none is missing before it, by more than
+    # 1e-9 step plus the rounding of the times.
+    slack = 1e-9 * step + 16.0 * math.ulp(1.0) * max(abs(start), abs(end))
+    assert grid[-1] <= end + slack
+    assert start + step * len(grid) > end - slack
+    # An end that is itself start + step n, rounded, is the last point.
+    if frac == 0.0:
+        assert len(grid) == n + 1
+
+
+def test_step_grid_rounding_slack_is_at_most_half_a_step():
+    # A step below the rounding of start: end = start is still one point.
+    assert _step_grid(1e6, 1e6, 1e-12).tolist() == [1e6]
+
+
+def test_step_grid_limit_fails_before_allocating(monkeypatch):
+    assert _step_count(0.0, MAX_GRID_POINTS - 1.0, 1.0) == MAX_GRID_POINTS - 1
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(np, "arange", no_grid)
+    for start, end, step in ((0.0, float(MAX_GRID_POINTS), 1.0), (0.0, 1000.0, 1e-8),
+                             (-1e308, 1e308, 1.0)):
+        with pytest.raises(DomainError, match="exceeds the limit"):
+            _step_grid(start, end, step)
 
 
 # ------------------------------------------------------- scalar Simpson

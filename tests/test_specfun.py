@@ -141,9 +141,9 @@ def test_exp_section_stops_one_exponential_early(monkeypatch):
     # Below the peak the first term cannot stop the sum.
     for j in (0, 1, 2):
         assert count(exp_section, x, 199, j) == count(_section_loop, x, 199, j)
-    # Where many terms are needed the bound never fires.
+    # Where many terms are needed the bound still saves the last one.
     for j in range(3):
-        assert count(exp_section, x, 3, j) == count(_section_loop, x, 3, j) > 5
+        assert count(exp_section, x, 3, j) + 1 == count(_section_loop, x, 3, j) > 6
 
 
 # ---------------------------------------------------------------- mittag_leffler
