@@ -109,28 +109,29 @@ def mittag_leffler(params: MLParams, z: float | np.ndarray) -> float | np.ndarra
     first point that fails raises.
 
     An array is summed a block of points at a time, with the same bits
-    as the one-point loop.  The point of largest |z| in the block is
-    summed alone first: its term magnitudes bound every other point's,
-    so its term count n covers the block and no term up to n overflows.
-    The block's terms are formed as one array, k log|z| - lg[k] rounding
-    as the scalar products and differences do (log|z| from math.log),
-    and exponentiated by math.exp mapped over it, since np.exp rounds
-    differently.  Array comparisons find each point's stop, and
-    math.fsum sums its terms up to it.  A block holds at most
-    ML_BLOCK_ELEMENTS terms.  A point that does not stop within n terms
-    is summed alone, and so is every point of a block whose largest |z|
-    fails, its sum included: that block raises at its first failing
+    as the one-point loop.  The largest |z| of a window of points is
+    summed alone first: its term magnitudes bound every other point's, so
+    its term count n covers the window and no term up to n overflows.  The
+    block is as much of the window as holds at most ML_BLOCK_ELEMENTS
+    terms.  Its terms are formed as one array, k log|z| - lg[k] (log|z|
+    from math.log) exponentiated by np.exp, as one point's are, so the
+    bits agree.  Array comparisons find each point's stop, and math.fsum
+    sums its terms up to it.  A point that does not stop within n terms
+    is summed alone, and so is every point of a window whose largest |z|
+    fails, its sum included: that window raises at its first failing
     point, as the loop does, without summing the points past it.
 
     The sum is exact, so the error is the terms' own rounding, about
-    2^-52 sum_k |t_k|.  For z >= 0 every term is positive and that is a
-    relative error of a few ulps.  For z < 0 the series alternates and
-    sum_k |t_k| = E_{alpha,beta}(|z|) can exceed the result by many orders
-    of magnitude; whenever 2^-52 sum_k |t_k| > ML_ROUNDING_TOL *
+    2^-52 sum_k |t_k|; each np.exp term is within 1 ulp of math.exp's.
+    For z >= 0 every term is positive and that is a relative error of a
+    few ulps.  For z < 0 the series alternates and sum_k |t_k| =
+    E_{alpha,beta}(|z|) can exceed the result by many orders of
+    magnitude; whenever 2^-52 sum_k |t_k| > ML_ROUNDING_TOL *
     max(1, |result|), NonConvergenceError is raised instead of returning
     a value.  A returned value is thus accurate to a small multiple of
     1e-10 absolute, relative once |result| > 1: against 80-digit mpmath
-    on z in [-15, 0] the worst error was 3.5e-10, at alpha = 1.  At
+    on z = -15, -14.99, ..., 0 the worst error was 4.3e-10, at alpha = 1
+    and z = -12.86.  At
     beta = 1 this admits z < 0 while E_alpha(|z|) stays below about 4e5:
     |z| up to about 13 at alpha = 1, 3.5 at alpha = 1/2, 2.9 at 3/7 and
     2.25 at 1/3.  Arguments with |z| > 30 are rejected.
@@ -161,44 +162,40 @@ def mittag_leffler(params: MLParams, z: float | np.ndarray) -> float | np.ndarra
 
 def _ml_span(params: MLParams, window: np.ndarray, table: tuple) -> tuple[int, int]:
     """(rows, n): the block is the first rows points of window, and n is
-    the term count of its largest |z|, with rows * n <= ML_BLOCK_ELEMENTS
-    unless rows = 1.  n = 0 where that point is 0, outside the domain or
-    fails, its sum included: the block is then summed a point at a time,
-    which raises at its first failing point without summing the rest."""
-    rows = window.size
-    while True:
-        abs_z = np.abs(window[:rows])
-        big = float(abs_z.max())
-        if big == 0.0 or big > ML_MAX_ABS_Z:
-            return rows, 0
-        z = float(window[int(abs_z.argmax())])
-        try:
-            terms = _ml_terms(params, z, table)
-            if terms is not None:
-                _ml_sum(params, z, terms)
-        except NonConvergenceError:
-            terms = None
-        if terms is None:  # the block fails at or before its largest |z|
-            return rows, 0
-        fit = max(1, ML_BLOCK_ELEMENTS // len(terms))
-        if fit >= rows:
-            return rows, len(terms)
-        rows = fit  # the shorter block's own largest |z| sets its term count
+    the term count of the window's largest |z|, which bounds every point's
+    terms, with rows * n <= ML_BLOCK_ELEMENTS unless rows = 1.  n = 0
+    where that point is 0, outside the domain or fails, its sum included:
+    the window is then summed a point at a time, which raises at its first
+    failing point without summing the rest."""
+    abs_z = np.abs(window)
+    big = float(abs_z.max())
+    if big == 0.0 or big > ML_MAX_ABS_Z:
+        return window.size, 0
+    z = float(window[int(abs_z.argmax())])
+    try:
+        terms = _ml_terms(params, z, table)
+        if terms is not None:
+            _ml_sum(params, z, terms)
+    except NonConvergenceError:
+        terms = None
+    if terms is None:  # the window fails at or before its largest |z|
+        return window.size, 0
+    return min(window.size, max(1, ML_BLOCK_ELEMENTS // len(terms))), len(terms)
 
 
 def _ml_block(params: MLParams, block: np.ndarray, n: int, table: tuple) -> list[float]:
-    """The values of a block whose largest |z| stops within n terms."""
+    """The values of a block whose points' terms are bounded by a series
+    that stops within n terms."""
     lg, pos, neg = (np.array(column[:n]) for column in table)
     zl = block.tolist()
     abs_z = np.abs(block)
-    abs_z[abs_z == 0.0] = abs_z.max()  # a zero is summed alone below
+    abs_z[abs_z == 0.0] = 1.0  # a zero is summed alone below, its row unread
     log_z = np.array(list(map(math.log, abs_z.tolist())))
-    arg = np.multiply.outer(log_z, np.arange(n))  # k log|z|, as k * log_z rounds
-    arg -= lg
-    arg = arg.ravel().tolist()
-    # No term overflows: the largest |z|, summed by _ml_span, bounds them all.
-    mag = np.fromiter(map(math.exp, arg), float, len(arg)).reshape(len(zl), n)
-    del arg
+    mag = np.multiply.outer(log_z, np.arange(n))  # k log|z|, as k * log_z rounds
+    mag -= lg
+    # Only a zero's row can overflow: the series _ml_span summed bounds the rest.
+    with np.errstate(over="ignore"):
+        np.exp(mag, out=mag)
     # The first k > 0 off a pole with |t_k| <= ML_TAIL_TOL and |t_k| <= |t_{k-1}|.
     stops = (mag[:, 1:] <= ML_TAIL_TOL) & (mag[:, 1:] <= mag[:, :-1]) & (lg[1:] != math.inf)
     ends = (stops.argmax(axis=1) + 2).tolist()
@@ -209,9 +206,7 @@ def _ml_block(params: MLParams, block: np.ndarray, n: int, table: tuple) -> list
     # The largest |z|, whose sum _ml_span checked, bounds these sums.
     rough = (mag.sum(axis=1) * 2.0 ** -52).tolist()
     # Sign the terms in place; the magnitudes are not needed past here.
-    negative = block[:, None] < 0.0
-    np.multiply(mag, neg, out=mag, where=negative)
-    np.multiply(mag, pos, out=mag, where=~negative)
+    mag *= np.where(block[:, None] < 0.0, neg, pos)
     values = []
     for zi, row, end, done, bound in zip(zl, mag, ends, stopped, rough):
         if not (zi and done):  # z = 0, or no stop within n terms
@@ -289,9 +284,11 @@ def _ml_sum(params: MLParams, z: float, terms: list[float]) -> float:
 
 def _ml_terms(params: MLParams, z: float, table: tuple) -> list[float] | None:
     """The series' terms up to and including the first that stops it, or
-    None if ML_MAX_TERMS is reached first; grows table as needed."""
+    None if ML_MAX_TERMS is reached first; grows table as needed.  The
+    terms are formed as _ml_block forms them, with the same bits, over the
+    chunks k in [0, 64), [64, 128), [128, 256), ... of the table."""
     lg, pos, neg = table
-    k = 0
+    lo = 0
     try:
         if z == 0.0:  # 1/Gamma(beta), then a zero term that stops the series
             g = params.beta
@@ -301,24 +298,32 @@ def _ml_terms(params: MLParams, z: float, table: tuple) -> list[float] | None:
             return [1.0 / denom, 0.0] if ML_MAX_TERMS > 1 else None
         log_z = math.log(abs(z))
         sign = neg if z < 0.0 else pos
-        exp, tail_tol = math.exp, ML_TAIL_TOL
         terms: list[float] = []
-        prev = math.inf
-        for k in range(ML_MAX_TERMS):
-            if k == len(lg):
-                _grow(params, table)
-            t = sign[k] * exp(k * log_z - lg[k])
-            terms.append(t)
-            at = abs(t)
-            # Terms decay super-geometrically once alpha*k+beta outgrows
-            # |z|; requiring two consecutive small, shrinking terms
-            # bounds the tail.  A pole's zero term bounds nothing.
-            if at <= tail_tol and at <= prev and k > 0 and lg[k] != math.inf:
-                return terms
-            prev = at
+        prev = -1.0  # below every magnitude: k = 0 does not stop the series
+        with np.errstate(over="ignore"):  # an overflow raises below if it is reached
+            while lo < ML_MAX_TERMS:
+                hi = min(max(64, 2 * lo), ML_MAX_TERMS)
+                if hi > len(lg):
+                    _grow(params, table)
+                chunk = np.array(lg[lo:hi])
+                mag = np.exp(np.arange(lo, hi) * log_z - chunk)
+                # Terms decay super-geometrically once alpha*k+beta outgrows
+                # |z|; requiring two consecutive small, shrinking terms
+                # bounds the tail.  A pole's zero term bounds nothing.
+                stops = (mag <= ML_TAIL_TOL) & (mag <= np.append(prev, mag[:-1]))
+                stops &= chunk != math.inf
+                hit = stops | (mag == math.inf)
+                end = int(hit.argmax()) + 1 if hit.any() else hi - lo
+                if mag[end - 1] == math.inf:
+                    lo += end - 1
+                    raise OverflowError
+                terms += (mag[:end] * sign[lo:lo + end]).tolist()
+                if stops[end - 1]:
+                    return terms
+                prev, lo = mag[-1], hi
     except OverflowError as exc:
         raise NonConvergenceError(
-            f"series term k={k} for E_({params.alpha},{params.beta})({z}) "
+            f"series term k={lo} for E_({params.alpha},{params.beta})({z}) "
             f"overflowed double range"
         ) from exc
     return None

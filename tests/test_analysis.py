@@ -9,6 +9,7 @@ import pytest
 from fraclode import (
     CauchyProblem,
     DomainError,
+    MLParams,
     NonUniformGridError,
     Quadrature,
     Trajectory,
@@ -17,11 +18,13 @@ from fraclode import (
     convergence_study,
     gl_derivative,
     gl_weights,
+    mittag_leffler,
     residual_nev,
     solve_scalar_quad,
     solve_scalar_rect,
     stability_verdict,
 )
+from first_order import alpha_derivative_at_one, first_order_constant
 
 ALPHA_LADDER = [1 / 3, 3 / 7, 199 / 203, 1999 / 2003, 1.0]
 
@@ -254,6 +257,32 @@ def test_study_nev_contrast_between_extreme_orders():
     rows = convergence_study(-2.0, [1 / 3, 1.0], t0=0.0, t_end=1.01, h=0.01)
     assert rows[0].nev >= 1e6 * rows[1].nev
     assert rows[0].nev > 1.0  # large residual at the smallest order
+
+
+def test_alpha_derivative_matches_a_central_difference():
+    # (E_{1+e}(lam u^(1+e)) - E_{1-e}(lam u^(1-e))) / 2e errs by O(e^2).
+    u, e = 0.01 * np.arange(1, 102), 1e-4
+    for lam in (-5.0, -2.0, 2.0):
+        diff = [(mittag_leffler(MLParams(1 + e), lam * v ** (1 + e))
+                 - mittag_leffler(MLParams(1 - e), lam * v ** (1 - e))) / (2 * e)
+                for v in u.tolist()]
+        got = alpha_derivative_at_one(lam, u)
+        assert np.max(np.abs(got - diff)) <= 1e-7 * max(1.0, np.max(np.abs(got)))
+    with pytest.raises(ValueError):
+        alpha_derivative_at_one(-2.0, [5.01])
+
+
+def test_near_one_deviation_is_first_order_in_one_minus_alpha():
+    # sup_u |x_alpha - e^(lam u)| = C (1 - alpha) + O((1 - alpha)^2), C the
+    # largest |d/dalpha x| at alpha = 1: 0.4888 at lam = -2 on this grid.
+    # The ratios read 1.0039 at 199/203 and 1.0004 at 1999/2003.
+    rows = convergence_study(-2.0, [199 / 203, 1999 / 2003], t0=0.0, t_end=1.01, h=0.01,
+                             backend=Quadrature.SIMPSON, order_tol=1e-12)
+    C = first_order_constant(-2.0, 0.01 * np.arange(1, 102))
+    assert C == pytest.approx(0.4888, abs=1e-4)
+    for row in rows:
+        ratio = row.sup_deviation / (C * (1.0 - row.alpha))
+        assert abs(ratio - 1.0) <= 2.0 * (1.0 - row.alpha)
 
 
 def test_study_row_order_preserved():

@@ -425,6 +425,46 @@ def test_ml_long_array_spans_blocks(monkeypatch):
     assert len(sizes) > 4 and sum(sizes) == zs.size
 
 
+def test_ml_sums_each_blocks_largest_z_once(monkeypatch):
+    # The long-grid oracle: z = -2 u^(1/3) on u = 1e-4 k, k <= 10^4, so
+    # |z| grows along the array and a window's largest |z| mostly lies
+    # past the block that fits.  Its term count bounds the shorter block,
+    # so no second series is summed for it: at most one single-point
+    # series per block (a second series per shrink formed 117 for 60).
+    zs = -2.0 * (1e-4 * np.arange(1, 10_001)) ** (1 / 3)
+    blocks, series = [], []
+    span, terms = specfun._ml_span, specfun._ml_terms
+    monkeypatch.setattr(specfun, "_ml_span", lambda *args: blocks.append(1) or span(*args))
+    monkeypatch.setattr(specfun, "_ml_terms", lambda *args: series.append(1) or terms(*args))
+    params = MLParams(alpha=1 / 3)
+    got = mittag_leffler(params, zs)
+    assert 0 < len(series) <= len(blocks)
+    assert np.array_equal(got[::997], [per_point_ml(params, z) for z in zs[::997].tolist()])
+
+
+def test_ml_np_exp_terms_stay_within_the_rounding_bound():
+    # Each term is np.exp of k log|z| - lg[k].  Against the same terms
+    # formed with math.exp (within about 0.502 ulp of the exponential;
+    # numpy's SIMD exp is within about 0.66), every term is within 1 ulp
+    # and every value within 2^-52 sum_k |t_k|, the rounding error the
+    # docstring states.
+    rng = np.random.default_rng(17)
+    for alpha in (1 / 3, 3 / 7, 1 / 2, 199 / 203, 1.0):
+        for beta in (1.0, 0.5):
+            params = MLParams(alpha=alpha, beta=beta)
+            low = {1 / 3: -2.0, 3 / 7: -2.5}.get(alpha, -3.0)  # inside the rounding check
+            table = ([], [], [])
+            for z in rng.uniform(low, 5.0, 300).tolist():
+                terms = specfun._ml_terms(params, z, table)
+                lg, sign = table[0], table[2 if z < 0.0 else 1]
+                log_z = math.log(abs(z))
+                exact = [sign[k] * math.exp(k * log_z - lg[k]) for k in range(len(terms))]
+                assert all(abs(t - e) <= math.ulp(e) for t, e in zip(terms, exact))
+                value = mittag_leffler(params, z)
+                assert value == math.fsum(terms)
+                assert abs(value - math.fsum(exact)) <= 2.0 ** -52 * math.fsum(map(abs, exact))
+
+
 @pytest.mark.parametrize("first, second", [(-4.0, 31.0), (31.0, -4.0)])
 def test_ml_first_failure_in_a_later_block(monkeypatch, first, second):
     # -4.0 cancels at alpha = 1/3 and 31 is outside the domain.  Both lie
