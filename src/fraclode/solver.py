@@ -477,10 +477,11 @@ def scalar_closed_form(lam: float, y0: float, order: FractionalOrder, t0: float,
     if _finite("lambda", lam) == 0.0:
         raise ZeroEigenvalueError("lambda = 0 is outside the solver's domain")
     times = _check_times(times, t0)
+    alpha = order.value
     # Python floats: a z past floating range is inf, which mittag_leffler rejects.
-    z = np.array([lam * (t - t0) ** order.value for t in times.tolist()])
+    z = np.array([lam * (t - t0) ** alpha for t in times.tolist()])
     y0 = _finite("y0", y0)
-    out = mittag_leffler(MLParams(alpha=order.value), z)
+    out = mittag_leffler(MLParams(alpha=alpha), z)
     with _overflow_to_inf():
         states = y0 * out[:, None]
     return Trajectory(times=times, states=states)

@@ -21,9 +21,10 @@ ML_MAX_ABS_Z = 30.0
 #: Largest rounding bound 2^-52 sum_k |t_k| of the series, relative to
 #: max(1, |result|), that mittag_leffler accepts.
 ML_ROUNDING_TOL = 1e-10
-#: Past the peak term, exp_section stops once a bound puts every next term
-#: below SECTION_TOL times the partial sum.
+#: exp_section stops once a bound puts every later term below SECTION_TOL
+#: times the partial sum.
 SECTION_TOL = 1e-17
+_LOG_SECTION_TOL = math.log(SECTION_TOL)
 #: The series stops at the second of two consecutive shrinking terms below this.
 ML_TAIL_TOL = 1e-16
 #: Most terms mittag_leffler forms at once for a block of points.
@@ -37,44 +38,65 @@ def exp_section(x, m: int, j: int) -> np.ndarray:
 
     The j-th m-section of the exponential: sum_j H_{m,j} = exp and
     H_{1,0} = exp.  Every term is bounded by X^k / k!, X = max|x|, a
-    bound that rises until k passes X; summation stops only past that
-    peak.  For x < 0 and m > 1 the terms cancel, so the absolute
-    accuracy there is about 1e-16 * e^|x|.
+    bound that rises until k passes X.  For x < 0 and m > 1 the terms
+    cancel, so the absolute accuracy there is about 1e-16 * e^|x|.
 
-    Past the peak, each element's next term after t_p is bounded:
-    |t_{p+m}| <= |t_p| phi, phi = X^m p! / (p+m)! < 1.  The sum stops at
-    the first p past the peak with rho phi <= SECTION_TOL, where
-    rho = max |t_p| / |total| over the elements.  Every later term is
-    then at most 1e-17 |total|, below half an ulp of total (at least
-    2^-54 |total|, about 5.5e-17 |total|), and would leave it unchanged:
-    the sum has the bits of the longer one that stops at the first term
-    below SECTION_TOL times each element's partial sum.  phi is taken in
-    logs; an exact cancellation, total = 0 under a term t_p != 0, makes
-    rho infinite and so never stops the sum.
+    Each element's next term after t_p is bounded: |t_{p+m}| <= |t_p| phi,
+    phi = X^m p! / (p+m)!, which falls as p grows and is below 1 past the
+    peak.  Wherever phi < 1 the sum may stop at p once
+    rho phi <= SECTION_TOL, rho = max |t_p| / |total| over the elements.
+    Every later term is then at most 1e-17 |total|, below half an ulp of
+    total (at least 2^-54 |total|, about 5.5e-17 |total|), and would leave
+    it unchanged, so this stop and any later one return the bits of the
+    sum that stops at the first term past the peak below SECTION_TOL times
+    each element's partial sum.  phi is taken in logs.  A failed check
+    predicts rho at the next powers as its own rho times their phi's, and
+    no power is checked before that prediction times phi reaches
+    SECTION_TOL.  An exact cancellation, total = 0 under a term t_p != 0,
+    makes rho infinite; that check predicts nothing, so the next power is
+    checked.  A non-finite element raises DomainError: no bound holds.
     """
     x = np.asarray(x, dtype=float)
     if m < 1 or not 0 <= j < m:
         raise DomainError(f"need m >= 1 and 0 <= j < m, got m={m}, j={j}")
     if m == 1:
         return np.exp(x)
-    big = float(np.max(np.abs(x))) if x.size else 0.0
+    lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
+    big = max(hi, -lo)
+    if not math.isfinite(big):
+        raise DomainError(f"x must be finite, got an element with |x| = {big}")
     if big == 0.0:
         return np.full(x.shape, 1.0 if j == 0 else 0.0)
+    log_abs = np.abs(x, out=np.empty(x.shape))  # an array even where x is 0-d
     with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(x))
+        np.log(log_abs, out=log_abs)
     log_big = math.log(big)
-    total = np.zeros(x.shape)
-    power = j
+    total, scratch = np.zeros(x.shape), np.empty(x.shape)
+    term = np.ones(x.shape) if j == 0 else np.empty(x.shape)  # x^0 / 0! = 1
+    power, predicted = j, -math.inf  # log rho predicted at power; -inf: none
     while True:
-        term = np.exp(power * log_abs - math.lgamma(power + 1)) if power else 1.0
-        total = total + (np.copysign(term, x) if power % 2 else term)
-        if power > big:
+        if power:
+            np.multiply(log_abs, power, out=term)
+            term -= math.lgamma(power + 1)
+            np.exp(term, out=term)
+        # total never holds -0.0, so the sign of a zero term is moot.
+        if power % 2 == 0 or lo >= 0.0:
+            total += term
+        elif hi <= 0.0:
+            total -= term
+        else:
+            total += np.copysign(term, x, out=scratch)
+        log_phi = m * log_big - math.lgamma(power + m + 1) + math.lgamma(power + 1)
+        if log_phi < 0.0 and predicted + log_phi <= _LOG_SECTION_TOL:
             with np.errstate(divide="ignore", invalid="ignore"):
-                # 0/0 is NaN, which fmax skips; t/0 is inf.
-                rho = float(np.fmax.reduce(term / np.abs(total), axis=None, initial=0.0))
-            log_phi = m * log_big - math.lgamma(power + m + 1) + math.lgamma(power + 1)
+                # 0/0 is NaN, which fmax skips; t/0 is inf.  No x < 0: total >= 0.
+                np.divide(term, total if lo >= 0.0 else np.abs(total, out=scratch),
+                          out=scratch)
+            rho = float(np.fmax.reduce(scratch, axis=None, initial=0.0))
             if rho * math.exp(log_phi) <= SECTION_TOL:
                 return total
+            predicted = math.log(rho) if rho < math.inf else -math.inf
+        predicted += log_phi
         power += m
 
 
@@ -277,7 +299,7 @@ def _ml_sum(params: MLParams, z: float, terms: list[float]) -> float:
         raise NonConvergenceError(
             f"series for E_({params.alpha},{params.beta})({z}) cancels: "
             f"rounding bound {rounding:.3e} exceeds "
-            f"{ML_ROUNDING_TOL:g} * max(1, |{result:.6g}|)"
+            f"{ML_ROUNDING_TOL:g} * max(1, |sum|)"
         )
     return result
 

@@ -83,7 +83,7 @@ def per_point_ml(params, z):
                 raise NonConvergenceError(
                     f"series for E_({params.alpha},{params.beta})({z}) cancels: "
                     f"rounding bound {rounding:.3e} exceeds "
-                    f"{ML_ROUNDING_TOL:g} * max(1, |{result:.6g}|)"
+                    f"{ML_ROUNDING_TOL:g} * max(1, |sum|)"
                 )
             return result
         prev = at

@@ -550,12 +550,17 @@ def test_modes_recompose_to_classical_exponential_at_alpha_one(data):
     # A = T diag(lambda) T^-1 with distinct real lambda and a diagonally
     # dominant T: T diag(_modes(lambda)) T^-1 x0 is expm(u A) x0.
     n = data.draw(st.integers(1, 4))
-    lams = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
-    assume(np.all(np.abs(lams) >= 0.05) and np.all(np.diff(np.sort(lams)) >= 0.1))
+    # lambda in [-2, -0.05] or [0.05, 2], at least 0.1 apart, built
+    # directly rather than filtered: sorted points v of [0, 3.9] spread by
+    # 0.1 per rank, then lambda = v - 2 below 1.95 and v - 1.9 from there.
+    slack = data.draw(st.lists(st.floats(0.0, 3.9 - 0.1 * (n - 1)), min_size=n, max_size=n))
+    v = np.sort(slack) + 0.1 * np.arange(n)
+    lams = np.where(v < 1.95, v - 2.0, v - 1.9)
     entries = st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)
     T = np.array(data.draw(entries)).reshape(n, n) + (n + 1.0) * np.eye(n)
     x0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
-    assume(np.max(np.abs(x0)) >= 0.1)
+    # At least one entry of x0 with |x0_i| >= 0.1.
+    x0[data.draw(st.integers(0, n - 1))] = data.draw(st.floats(0.1, 1.0) | st.floats(-1.0, -0.1))
     problem = CauchyProblem(A=T @ np.diag(lams) @ np.linalg.inv(T), x0=x0, t0=0.0,
                             order=ORDER_1)
     grid = np.linspace(0.1, 2.0, 20)

@@ -122,10 +122,22 @@ def test_exp_section_matches_the_full_loop_bit_for_bit(case):
     assert got.shape == want.shape and np.array_equal(got, want)
 
 
+def test_exp_section_one_signed_arrays_match_the_full_loop():
+    # With no x < 0 every total is >= 0, and the stop check divides by it
+    # as it is; with every x <= 0 the odd powers' terms are subtracted.
+    for scale in (1e-3, 0.7, 3.0, 40.0):
+        base = scale * np.linspace(0.0, 1.0, 9)
+        for x in (base, -base, np.array([-scale]), -base[1:]):
+            for m in (2, 3, 7):
+                for j in range(m):
+                    assert np.array_equal(exp_section(x, m, j), _section_loop(x, m, j))
+
+
 def test_exp_section_stops_one_exponential_early(monkeypatch):
     calls = []
     exp = np.exp
-    monkeypatch.setattr("fraclode.specfun.np.exp", lambda v: calls.append(1) or exp(v))
+    monkeypatch.setattr("fraclode.specfun.np.exp",
+                        lambda *args, **kwargs: calls.append(1) or exp(*args, **kwargs))
 
     def count(section, *args):
         calls.clear()
@@ -138,12 +150,44 @@ def test_exp_section_stops_one_exponential_early(monkeypatch):
     for j in (3, 10, 198):
         assert count(exp_section, x, 199, j) == 1
         assert count(_section_loop, x, 199, j) == 2
-    # Below the peak the first term cannot stop the sum.
-    for j in (0, 1, 2):
-        assert count(exp_section, x, 199, j) == count(_section_loop, x, 199, j)
+    # Below the peak the bound phi = X^m p!/(p+m)! is already tiny at
+    # m = 199, so the first term stops the sum too: j = 0 forms no
+    # exponential, and j = 1, 2 one, where the loop forms the next power's.
+    assert count(exp_section, x, 199, 0) + 1 == count(_section_loop, x, 199, 0) == 1
+    for j in (1, 2):
+        assert count(exp_section, x, 199, j) + 1 == count(_section_loop, x, 199, j) == 2
     # Where many terms are needed the bound still saves the last one.
     for j in range(3):
         assert count(exp_section, x, 3, j) + 1 == count(_section_loop, x, 3, j) > 6
+
+
+def test_exp_section_skips_checks_a_failed_one_rules_out(monkeypatch):
+    # x = 30, m = 3: phi < 1 from the power 30 on, and the sum runs to 87.
+    # The check at 30 fails, and its rho times the next powers' phi's
+    # rules out every check up to the one that stops the sum.
+    events = []
+    exp, divide = np.exp, np.divide
+    monkeypatch.setattr("fraclode.specfun.np.exp",
+                        lambda *args, **kwargs: events.append("term") or exp(*args, **kwargs))
+    monkeypatch.setattr("fraclode.specfun.np.divide",
+                        lambda *args, **kwargs: events.append("check") or divide(*args, **kwargs))
+    x = np.array([30.0])
+    got = exp_section(x, 3, 0)
+    powers = range(3, 3 * events.count("term") + 1, 3)
+    below_one = [p for p in powers if 3 * math.log(30.0) < math.lgamma(p + 4) - math.lgamma(p + 1)]
+    first = events.index("check")
+    assert events.count("check") == 2 and events[-1] == "check"
+    assert events[first + 1:-1] == ["term"] * (len(below_one) - 1) and len(below_one) > 10
+    monkeypatch.undo()
+    assert np.array_equal(got, _section_loop(x, 3, 0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exp_section_non_finite_element_raises_domain_error(bad):
+    # No term bound holds for a non-finite element, so the sum could never stop.
+    for m, j in ((3, 1), (3, 0), (199, 5)):
+        with pytest.raises(DomainError, match="finite"):
+            exp_section(np.array([1.0, bad]), m, j)
 
 
 # ---------------------------------------------------------------- mittag_leffler
@@ -211,9 +255,11 @@ def test_ml_domain_and_budget_errors(monkeypatch):
 @pytest.mark.parametrize("alpha, z", [(1 / 3, -4.0), (3 / 7, -5.0)])
 def test_ml_cancelling_series_raises(alpha, z):
     # The alternating series cancels: the true values are 0.162 and 0.121,
-    # the float sum gave -1.8e12 and 2734.  The rounding bound catches it.
-    with pytest.raises(NonConvergenceError, match="cancels"):
+    # the float sum gave -1.8e12 and 2734.  The rounding bound catches it,
+    # and the message prints the bound and its limit, not that noisy sum.
+    with pytest.raises(NonConvergenceError, match="cancels") as info:
         mittag_leffler(MLParams(alpha=alpha), z)
+    assert str(info.value).endswith("exceeds 1e-10 * max(1, |sum|)")
 
 
 def test_ml_negative_arguments_inside_the_rounding_bound():
