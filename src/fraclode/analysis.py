@@ -16,6 +16,7 @@ from .rational_order import approximate_order, DEFAULT_TOL
 from .solver import (
     CauchyProblem,
     Quadrature,
+    SolveConfig,
     Trajectory,
     _step_grid,
     _time_rounding,
@@ -104,29 +105,23 @@ class StabilityVerdict:
 
 
 def stability_verdict(A) -> StabilityVerdict:
-    """Spectrum-based verdict, claimed for real spectra only.
-
-    All eigenvalues real and negative: asymptotically stable (every mode
-    E_alpha(lambda (t-t0)^alpha) decays to 0 for lambda < 0).  Any real
-    positive eigenvalue: unstable.
-    Anything else (non-real spectrum, zero eigenvalue): inconclusive.
-    An empty spectrum (a 0x0 A) has no eigenvalue to fail the first rule,
-    so it is asymptotically stable.
-    """
+    """What Matignon's criterion, asymptotically stable iff |arg lambda| >
+    alpha pi/2 for every eigenvalue, says for every alpha in (0, 1] at once:
+    every Re lambda < 0 (or no eigenvalue), asymptotically stable; a real
+    lambda > 0, unstable; anything else depends on alpha, inconclusive.
+    eigenvalues is the sorted spectrum, None when it is non_real."""
     A = as_matrix(A)
     tol = IMAG_TOL_SCALE * (1.0 + max_abs(A))
     w = np.linalg.eigvals(A)
-    if max_abs(w.imag) > tol:
-        real_part = [lam for lam in w if abs(lam.imag) <= tol]
-        if any(lam.real > tol for lam in real_part):
-            return StabilityVerdict(Verdict.UNSTABLE, None, non_real=True)
-        return StabilityVerdict(Verdict.INCONCLUSIVE, None, non_real=True)
-    lams = sorted(float(x) for x in w.real)
-    if any(lam > tol for lam in lams):
-        return StabilityVerdict(Verdict.UNSTABLE, lams)
-    if all(lam < -tol for lam in lams):
-        return StabilityVerdict(Verdict.ASYMPTOTICALLY_STABLE, lams)
-    return StabilityVerdict(Verdict.INCONCLUSIVE, lams)  # zero eigenvalue
+    non_real = max_abs(w.imag) > tol
+    lams = None if non_real else sorted(float(x) for x in w.real)
+    if all(lam.real < -tol for lam in w):
+        verdict = Verdict.ASYMPTOTICALLY_STABLE
+    elif any(lam.real > tol and abs(lam.imag) <= tol for lam in w):
+        verdict = Verdict.UNSTABLE
+    else:
+        verdict = Verdict.INCONCLUSIVE
+    return StabilityVerdict(verdict, lams, non_real)
 
 
 @dataclass
@@ -137,7 +132,7 @@ class StudyRow:
 
 
 def convergence_study(a: float, alphas, t0: float, t_end: float, h: float,
-                      backend: Quadrature = Quadrature.RECTANGLE,
+                      backend: Quadrature | str = SolveConfig.quadrature,
                       x0: float = 1.0,
                       order_tol: float = DEFAULT_TOL) -> list[StudyRow]:
     """Solve D^alpha x = a x over the alpha ladder; per alpha record the
@@ -150,7 +145,10 @@ def convergence_study(a: float, alphas, t0: float, t_end: float, h: float,
     alpha = 1 it uses the exact differentiator of an exponential,
     x_k ln(x_k / x_{k-1}) / h, so nev reflects pure roundoff, matching the
     ladder's machine-zero bottom row; like `residual_nev` it skips t0 + h.
+    backend is parsed, and defaults, as `SolveConfig.quadrature` is, and a
+    bad one raises DomainError before any solve.
     """
+    backend = Quadrature(backend)
     alphas = list(alphas)
     if not alphas:
         raise DomainError("alphas must be nonempty")

@@ -138,14 +138,12 @@ def _parse_grid(spec: dict, t0: float) -> np.ndarray:
         raise SchemaError("grid", str(exc)) from exc
 
 
-def _parse_method(name) -> Quadrature:
-    """The backend a spec names; `simpson` when it names none."""
-    if name is None:
-        return Quadrature.SIMPSON
+def _parse_method(spec: dict) -> Quadrature:
+    """The backend spec's method names, or SolveConfig's default where it names none."""
     try:
-        return Quadrature(name)
-    except ValueError:
-        raise SchemaError("method", f"must be 'rectangle' or 'simpson', got {name!r}") from None
+        return Quadrature(spec.get("method", SolveConfig.quadrature))
+    except DomainError as exc:
+        raise SchemaError("method", str(exc)) from None
 
 
 def _parse_problem(spec: dict):
@@ -162,7 +160,7 @@ def _parse_problem(spec: dict):
     except FraclodeError as exc:
         raise SchemaError("alpha", str(exc)) from exc
     times = _parse_grid(spec, t0)
-    config = SolveConfig(grid=times, quadrature=_parse_method(spec.get("method")))
+    config = SolveConfig(grid=times, quadrature=_parse_method(spec))
     problem = CauchyProblem(A=A, x0=x0, t0=t0, order=order)
     eps_ladder = spec.get("eps_ladder")
     if eps_ladder is None:
@@ -222,8 +220,7 @@ def cmd_table(args) -> int:
         _step_count(t0, end, h)  # the study's grid limit, before the study runs
     except DomainError as exc:
         raise SchemaError("h", str(exc)) from exc
-    method = _parse_method(spec.get("method"))
-    rows = convergence_study(a, alphas, t0, end, h, backend=method)
+    rows = convergence_study(a, alphas, t0, end, h, backend=_parse_method(spec))
     _write_csv(args.out, ["alpha", "sup_dev", "nev"],
                ([r.alpha, r.sup_deviation, r.nev] for r in rows))
     return EXIT_OK
@@ -240,11 +237,8 @@ def cmd_stability(args) -> int:
     A = _parse_matrix(spec, "A")
     report = stability_verdict(A)
     print(report.verdict.value)
-    if report.verdict is Verdict.ASYMPTOTICALLY_STABLE:
-        return EXIT_OK
-    if report.verdict is Verdict.UNSTABLE:
-        return EXIT_UNSTABLE
-    return EXIT_INCONCLUSIVE
+    return {Verdict.ASYMPTOTICALLY_STABLE: EXIT_OK, Verdict.UNSTABLE: EXIT_UNSTABLE,
+            Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE}[report.verdict]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,6 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Linear constant-coefficient fractional-order ODE solver",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    method = (f"'method' is {' or '.join(repr(q.value) for q in Quadrature)}, by default "
+              f"{SolveConfig.quadrature.value!r}; simpson is Gauss-Jacobi quadrature of the "
+              "integrals, rectangle the literal left-endpoint rule, which converges only "
+              "like h^(1/(2q+1))")
 
     # No abbreviated flags: `--h 0.01` would otherwise print the help and exit 0.
     p_solve = sub.add_parser(
@@ -261,10 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                     f"grid and the optional t0 (0), tol (order tolerance, {DEFAULT_TOL:g}), "
                     "method and eps_ladder with B, and write t,x1,...,xn.  'grid' is a "
                     "list of times or {start, end, step}, the times start + k step up "
-                    "to end.  'method' is "
-                    "'simpson' (the default: Gauss-Jacobi quadrature of the integrals) "
-                    "or 'rectangle' (the literal left-endpoint rule, which converges "
-                    "only like h^(1/(2q+1))).  With eps_ladder the gaps between rungs "
+                    f"to end.  {method}.  With eps_ladder the gaps between rungs "
                     "go to stderr.  Any other field is a schema error.")
     p_solve.add_argument("--config", required=True, help="JSON problem spec")
     p_solve.add_argument("--out", required=True, help="output CSV path")
@@ -273,9 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser(
         "table", allow_abbrev=False, help="alpha-ladder convergence study",
         description="Solve D^alpha x = a x for each alpha of a case {a, alphas, interval "
-                    "[start, end], h, method (simpson by default)}, with no other field, "
-                    "on the times start + k h up to end, and write "
-                    "alpha,sup_dev,nev.  Each alpha is approximated by (2p+1)/(2q+1) "
+                    "[start, end], h, method}, with no other field, on the times "
+                    f"start + k h up to end, and write alpha,sup_dev,nev.  {method}.  "
+                    "Each alpha is approximated by (2p+1)/(2q+1) "
                     f"to the default order tolerance {DEFAULT_TOL:g}, so a row "
                     "labelled 1999/2003 is solved at 999/1001.")
     p_table.add_argument("--config", required=True, help="JSON case spec")

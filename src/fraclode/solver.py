@@ -27,7 +27,8 @@ scheme itself is testable, slow O(h^(1/n)) convergence and all, with one
 FFT convolution per section j; and "simpson" (the name of an earlier
 adaptive Simpson rule, kept for the API and the CLI), Gauss–Jacobi
 rules of 16, 32, ..., 256 nodes, applied until two successive ones agree
-to SIMPSON_TOL.
+to SIMPSON_TOL.  `SolveConfig` parses its backend by `Quadrature(v)`, which
+takes a member or its value, and its SIMPSON is every caller's default.
 
 For q = 0 (alpha = 1) every backend degenerates to the classical matrix
 exponential.  `scalar_closed_form` is the oracle: the Mittag-Leffler
@@ -102,6 +103,10 @@ class Quadrature(Enum):
     RECTANGLE = "rectangle"
     SIMPSON = "simpson"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"backend must be one of {[q.value for q in cls]}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class CauchyProblem:
@@ -130,15 +135,16 @@ class CauchyProblem:
         return self.A.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveConfig:
-    """Evaluation grid and backend selection."""
+    """Evaluation grid and backend, a Quadrature member or its value."""
 
     grid: np.ndarray
-    quadrature: Quadrature = Quadrature.RECTANGLE
+    quadrature: Quadrature = Quadrature.SIMPSON
 
     def __post_init__(self) -> None:
-        self.grid = np.asarray(self.grid, dtype=float).reshape(-1)
+        object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float).reshape(-1))
+        object.__setattr__(self, "quadrature", Quadrature(self.quadrature))
 
 
 @dataclass
@@ -418,7 +424,12 @@ def _modes(lams, order: FractionalOrder, t0: float, times,
     Y = exp_section(ru, m, 0)
     # |H_{m,j}(r u)| <= e^(rate u) for u >= 0
     rate = np.abs(r) * np.where(r > 0.0, 1.0, growth)
-    if quadrature is Quadrature.RECTANGLE and order.q > 0:
+    if quadrature is Quadrature.SIMPSON:
+        scale = np.exp(np.outer(u, rate))
+        for a_k, j_k, c in zip(a.tolist(), j.tolist(), coef):
+            integral = _jacobi_integral(ru, m, j_k, a_k, scale)
+            Y += c * u[:, None] ** a_k * integral
+    elif order.q > 0:  # RECTANGLE, the other member; q = 0 has no integrals
         h, k_idx = _rect_lattice(times, t0, len(lams))
         k_max = int(k_idx[-1])
         size = _fft_size(2 * k_max - 1)  # no wrap-around in the first k_max
@@ -437,11 +448,6 @@ def _modes(lams, order: FractionalOrder, t0: float, times,
         # full[k-1] = sum_{sigma=0}^{k-1} kernel[k-1-sigma] H(r sigma h)
         full = np.fft.irfft(spectrum, size, axis=0)[:k_max]
         Y += h * full[k_idx - 1] * np.exp(np.outer(h * k_idx, rate))
-    elif quadrature is Quadrature.SIMPSON:
-        scale = np.exp(np.outer(u, rate))
-        for a_k, j_k, c in zip(a.tolist(), j.tolist(), coef):
-            integral = _jacobi_integral(ru, m, j_k, a_k, scale)
-            Y += c * u[:, None] ** a_k * integral
     return times, Y
 
 

@@ -65,7 +65,7 @@ def test_criterion_1_classical_reduction():
         A = _random_simple(rng, n)
         x0 = rng.uniform(-1.0, 1.0, n)
         problem = CauchyProblem(A=A, x0=x0, t0=0.0, order=order1)
-        got = solve_matrix(problem, SolveConfig(grid=grid))
+        got = solve_matrix(problem, SolveConfig(grid=grid, quadrature=Quadrature.RECTANGLE))
         ref = classical_exponential(problem, grid)
         worst = max(worst, float(np.max(np.abs(got.states - ref.states))))
     elapsed = time.time() - start
@@ -168,7 +168,7 @@ def test_criterion_5_decoupling_and_similarity():
     order = approximate_order(1 / 3, 1e-12, 10)
     grid = 0.01 * np.arange(1, 101)
     problem = CauchyProblem(A=np.diag([-2.0, 3.0]), x0=[1.0, 1.0], t0=0.0, order=order)
-    traj = solve_matrix(problem, SolveConfig(grid=grid))
+    traj = solve_matrix(problem, SolveConfig(grid=grid, quadrature=Quadrature.RECTANGLE))
     worst_diag = 0.0
     for j, lam in enumerate((-2.0, 3.0)):
         scalar = solve_scalar_rect(lam, 1.0, order, 0.0, grid).values
@@ -181,14 +181,15 @@ def test_criterion_5_decoupling_and_similarity():
     A = np.array([[0.0, 1.0], [2.0, 1.0]])
     x0 = np.array([1.0, 0.0])
     base = solve_matrix(
-        CauchyProblem(A=A, x0=x0, t0=0.0, order=order), SolveConfig(grid=grid)
+        CauchyProblem(A=A, x0=x0, t0=0.0, order=order),
+        SolveConfig(grid=grid, quadrature=Quadrature.RECTANGLE),
     )
     worst_conj = 0.0
     for _ in range(10):
         P = rng.uniform(-1.0, 1.0, size=(2, 2)) + 2.0 * np.eye(2)
         conj = solve_matrix(
             CauchyProblem(A=P @ A @ np.linalg.inv(P), x0=P @ x0, t0=0.0, order=order),
-            SolveConfig(grid=grid),
+            SolveConfig(grid=grid, quadrature=Quadrature.RECTANGLE),
         )
         expected = base.states @ P.T
         worst_conj = max(
@@ -249,7 +250,8 @@ def test_criterion_7_perturbation_path():
     )
     grid = np.linspace(0.1, 1.5, 100)
     traj, gaps = solve_limit_perturbation(
-        problem, np.diag([0.0, 1.0]), [1e-2, 1e-3, 1e-4], SolveConfig(grid=grid)
+        problem, np.diag([0.0, 1.0]), [1e-2, 1e-3, 1e-4],
+        SolveConfig(grid=grid, quadrature=Quadrature.RECTANGLE),
     )
     gaps_ok = all(b < a for a, b in zip(gaps, gaps[1:]))
     ref = classical_exponential(problem, grid)
@@ -261,7 +263,7 @@ def test_criterion_7_perturbation_path():
             CauchyProblem(A=[[0.0, 1.0], [-1.0, 0.0]], x0=[1.0, 0.0], t0=0.0, order=order1),
             np.diag([1.0, 0.0]),
             [1e-2, 1e-3],
-            SolveConfig(grid=grid),
+            SolveConfig(grid=grid, quadrature=Quadrature.RECTANGLE),
         )
     except ComplexSpectrumError:
         rotation_ok = True

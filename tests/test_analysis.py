@@ -1,6 +1,7 @@
 """Tests for the diagnostics: Grunwald-Letnikov differencing, the residual
 metric, the stability verdict, and the alpha-ladder study."""
 
+import inspect
 import math
 
 import numpy as np
@@ -193,7 +194,8 @@ def test_residual_validation():
     # The study's alpha = 1 differentiator needs nonzero samples: x0 = 0
     # gives 0/0.
     with pytest.raises(DomainError):
-        convergence_study(-2.0, [1.0], t0=0.0, t_end=0.5, h=0.01, x0=0.0)
+        convergence_study(-2.0, [1.0], t0=0.0, t_end=0.5, h=0.01,
+                          backend=Quadrature.RECTANGLE, x0=0.0)
 
 
 # ---------------------------------------------------------------- stability
@@ -229,6 +231,30 @@ def test_stability_non_real_spectrum_with_positive_eigenvalue():
     assert report.non_real and report.eigenvalues is None
 
 
+def test_stability_of_a_decaying_spiral():
+    # lambda = -0.5 +- 2i: |arg lambda| > pi/2 >= alpha pi/2 at every alpha.
+    report = stability_verdict([[-0.5, 2.0], [-2.0, -0.5]])
+    assert report.verdict is Verdict.ASYMPTOTICALLY_STABLE
+    assert report.non_real and report.eigenvalues is None
+
+
+def test_stability_that_depends_on_alpha_is_inconclusive():
+    # lambda = 1 +- 10i: |arg lambda| = 1.471 exceeds alpha pi/2 at
+    # alpha = 1/3 (0.524) but not at alpha = 1 (1.571).
+    report = stability_verdict([[1.0, 10.0], [-10.0, 1.0]])
+    assert report.verdict is Verdict.INCONCLUSIVE
+    assert report.non_real and report.eigenvalues is None
+
+
+def test_stability_of_a_spiral_with_a_positive_real_eigenvalue():
+    A = np.zeros((3, 3))
+    A[:2, :2] = [[-0.5, 2.0], [-2.0, -0.5]]
+    A[2, 2] = 0.5
+    report = stability_verdict(A)
+    assert report.verdict is Verdict.UNSTABLE
+    assert report.non_real and report.eigenvalues is None
+
+
 def test_stability_of_an_empty_system():
     # No eigenvalue is real and non-negative, so the first rule holds
     # vacuously; np.max of the empty imaginary parts raised ValueError.
@@ -248,13 +274,15 @@ def test_stability_permutation_invariance():
 
 
 def test_study_alpha_one_row_is_machine_exact():
-    rows = convergence_study(-2.0, [1.0], t0=0.0, t_end=1.01, h=0.01)
+    rows = convergence_study(-2.0, [1.0], t0=0.0, t_end=1.01, h=0.01,
+                             backend=Quadrature.RECTANGLE)
     assert rows[0].sup_deviation <= 1e-9
     assert rows[0].nev <= 1e-9
 
 
 def test_study_nev_contrast_between_extreme_orders():
-    rows = convergence_study(-2.0, [1 / 3, 1.0], t0=0.0, t_end=1.01, h=0.01)
+    rows = convergence_study(-2.0, [1 / 3, 1.0], t0=0.0, t_end=1.01, h=0.01,
+                             backend=Quadrature.RECTANGLE)
     assert rows[0].nev >= 1e6 * rows[1].nev
     assert rows[0].nev > 1.0  # large residual at the smallest order
 
@@ -287,7 +315,8 @@ def test_near_one_deviation_is_first_order_in_one_minus_alpha():
 
 def test_study_row_order_preserved():
     alphas = [1.0, 1 / 3]
-    rows = convergence_study(-2.0, alphas, t0=0.0, t_end=0.5, h=0.01)
+    rows = convergence_study(-2.0, alphas, t0=0.0, t_end=0.5, h=0.01,
+                             backend=Quadrature.RECTANGLE)
     assert [r.alpha for r in rows] == alphas
 
 
@@ -316,6 +345,38 @@ def test_study_far_from_zero_matches_the_study_at_zero(backend):
                      Trajectory(times=bent, states=np.ones((1000, 1))))
 
 
+@pytest.mark.parametrize("backend", list(Quadrature))
+def test_study_backend_value_is_its_member(backend):
+    # "rectangle" once ran the Simpson backend.
+    by_value, by_member = (convergence_study(-2.0, [1 / 3, 3 / 7], t0=0.0, t_end=0.5, h=0.01,
+                                             backend=b) for b in (backend.value, backend))
+    assert by_value == by_member
+
+
+@pytest.mark.parametrize("bad", ["bogus", None, 1])
+def test_study_rejects_any_other_backend_before_any_solve(monkeypatch, bad):
+    from fraclode import analysis
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the study built its grid or solved")
+
+    for name in ("_step_grid", "solve_scalar_rect", "solve_scalar_quad"):
+        monkeypatch.setattr(analysis, name, no_work)
+    with pytest.raises(DomainError, match="'rectangle', 'simpson'"):
+        convergence_study(-2.0, [1 / 3], t0=0.0, t_end=1.01, h=0.01, backend=bad)
+
+
+def test_study_defaults_to_simpson():
+    # The rectangle rule reads sup_dev 4653 here: x(1.01) = -4653 at
+    # alpha = 0.3 (30001/100003), where the solution is 0.2896.
+    assert inspect.signature(convergence_study).parameters["backend"].default \
+        is Quadrature.SIMPSON
+    [row] = convergence_study(-2.0, [0.3], 0.0, 1.01, 0.01)
+    assert row == convergence_study(-2.0, [0.3], 0.0, 1.01, 0.01,
+                                    backend=Quadrature.SIMPSON)[0]
+    assert row.sup_deviation == pytest.approx(0.396, abs=1e-3)
+
+
 def test_study_grid_limit_is_checked_before_the_grid_is_built(monkeypatch):
     from fraclode import solver
 
@@ -326,11 +387,12 @@ def test_study_grid_limit_is_checked_before_the_grid_is_built(monkeypatch):
     for t0, t_end, h in ((-1e308, 1e308, 1.0), (0.0, 1.0, 1e-7),
                          (0.0, 1.0, 1.0 / (solver.MAX_GRID_POINTS + 1))):
         with pytest.raises(DomainError, match="exceeds the limit"):
-            convergence_study(-2.0, [1 / 3], t0=t0, t_end=t_end, h=h)
+            convergence_study(-2.0, [1 / 3], t0=t0, t_end=t_end, h=h,
+                              backend=Quadrature.RECTANGLE)
 
 
 def test_study_validation():
     with pytest.raises(DomainError):
-        convergence_study(-2.0, [], t0=0.0, t_end=1.0, h=0.01)
+        convergence_study(-2.0, [], t0=0.0, t_end=1.0, h=0.01, backend=Quadrature.RECTANGLE)
     with pytest.raises(DomainError):
-        convergence_study(-2.0, [0.5], t0=0.0, t_end=0.0, h=0.01)
+        convergence_study(-2.0, [0.5], t0=0.0, t_end=0.0, h=0.01, backend=Quadrature.RECTANGLE)

@@ -162,6 +162,33 @@ def test_solve_bad_method_is_schema_error(tmp_path):
     assert "method" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["solve", "table"])
+@pytest.mark.parametrize("method", ["trapezoid", None, 1, "SIMPSON"])
+def test_any_other_method_is_schema_error_listing_the_backends(tmp_path, capsys, command,
+                                                               method):
+    from fraclode.cli import main
+
+    payload = (BASIC_SPEC if command == "solve" else
+               {"a": -2.0, "alphas": [1 / 3], "interval": [0.02, 0.5], "h": 0.01})
+    spec = write_spec(tmp_path, "p.json", dict(payload, method=method))
+    assert main([command, "--config", spec, "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "field 'method'" in err and "'rectangle', 'simpson'" in err
+
+
+def test_table_without_method_is_simpson(tmp_path):
+    from fraclode.cli import main
+
+    outs = {}
+    for method in (None, "simpson"):
+        case = {"a": -2.0, "alphas": [1 / 3, 3 / 7], "interval": [0.02, 0.5], "h": 0.01}
+        spec = write_spec(tmp_path, f"{method}.json",
+                          case if method is None else dict(case, method=method))
+        outs[method] = tmp_path / f"{method}.csv"
+        assert main(["table", "--config", spec, "--out", str(outs[method])]) == 0
+    assert outs[None].read_bytes() == outs["simpson"].read_bytes()
+
+
 @pytest.mark.parametrize("grid", [
     {"start": 0.01, "end": 1000.0, "step": 1e-8},  # 1e11 points
     {"start": 1e-300, "end": 1e308, "step": 1e-300},  # a count beyond float range
@@ -437,6 +464,14 @@ def test_stability_exit_codes(tmp_path):
     result = run_cli("stability", "--config", mixed)
     assert result.returncode == 4
     assert result.stdout.strip() == "Unstable"
+
+
+def test_stability_of_a_decaying_spiral_exits_zero(tmp_path):
+    # lambda = -0.5 +- 2i: stable at every alpha in (0, 1].
+    spiral = write_spec(tmp_path, "s.json", {"A": [[-0.5, 2.0], [-2.0, -0.5]]})
+    result = run_cli("stability", "--config", spiral)
+    assert result.returncode == 0
+    assert result.stdout.strip() == "AsymptoticallyStable"
 
 
 def test_invalid_json_is_schema_error(tmp_path):

@@ -11,6 +11,7 @@ from fraclode import (
     ComplexSpectrumError,
     DomainError,
     OverflowError_,
+    Quadrature,
     SolveConfig,
     approximate_order,
     eig_real_simple,
@@ -87,7 +88,7 @@ def test_perturb_cannot_realify_rotation():
 def test_perturb_validation():
     problem = CauchyProblem(A=np.eye(2), x0=[1.0, 1.0], t0=0.0,
                             order=approximate_order(1.0, tol=1e-12, q_max=10))
-    config = SolveConfig(grid=np.linspace(0.1, 1.0, 10))
+    config = SolveConfig(grid=np.linspace(0.1, 1.0, 10), quadrature=Quadrature.RECTANGLE)
     with pytest.raises(DomainError):
         solve_limit_perturbation(problem, np.eye(3), [1e-2, 1e-3], config)
     with pytest.raises(DomainError):

@@ -114,7 +114,7 @@ def test_signatures_are_pinned():
 ORDER = fl.approximate_order(1 / 3)
 PROBLEM = fl.CauchyProblem(A=[[-2.0]], x0=[1.0], t0=0.0, order=ORDER)
 PROBLEM_1 = fl.CauchyProblem(A=[[-2.0]], x0=[1.0], t0=0.0, order=fl.approximate_order(1.0))
-CONFIG = fl.SolveConfig(grid=[0.5, 1.0])
+CONFIG = fl.SolveConfig(grid=[0.5, 1.0], quadrature=fl.Quadrature.RECTANGLE)
 SCALAR = {"rect": fl.solve_scalar_rect, "quad": fl.solve_scalar_quad,
           "closed_form": fl.scalar_closed_form}
 
@@ -128,7 +128,8 @@ def _scalar_cases():
 
 
 def _study(**kwargs):
-    args = dict(a=-2.0, alphas=[1 / 3], t0=0.0, t_end=0.5, h=0.1, x0=1.0) | kwargs
+    args = dict(a=-2.0, alphas=[1 / 3], t0=0.0, t_end=0.5, h=0.1,
+                backend=fl.Quadrature.RECTANGLE, x0=1.0) | kwargs
     return fl.convergence_study(**args)
 
 
@@ -139,9 +140,10 @@ NON_FINITE_CASES = dict([
     ("CauchyProblem.t0", lambda v: fl.CauchyProblem(A=[[-2.0]], x0=[1.0], t0=v, order=ORDER)),
     ("CauchyProblem.A", lambda v: fl.CauchyProblem(A=[[v]], x0=[1.0], t0=0.0, order=ORDER)),
     ("CauchyProblem.x0", lambda v: fl.CauchyProblem(A=[[-2.0]], x0=[v], t0=0.0, order=ORDER)),
-    ("solve_matrix.grid", lambda v: fl.solve_matrix(PROBLEM, fl.SolveConfig(grid=[0.5, v]))),
-    ("solve_matrix.grid.alpha_one",
-     lambda v: fl.solve_matrix(PROBLEM_1, fl.SolveConfig(grid=[0.5, v]))),
+    ("solve_matrix.grid", lambda v: fl.solve_matrix(
+        PROBLEM, fl.SolveConfig(grid=[0.5, v], quadrature=fl.Quadrature.RECTANGLE))),
+    ("solve_matrix.grid.alpha_one", lambda v: fl.solve_matrix(
+        PROBLEM_1, fl.SolveConfig(grid=[0.5, v], quadrature=fl.Quadrature.RECTANGLE))),
     ("classical_exponential.times", lambda v: fl.classical_exponential(PROBLEM_1, [0.5, v])),
     ("Trajectory.times", lambda v: fl.Trajectory(times=[0.5, v], states=[1.0, 1.0])),
     *_scalar_cases(),

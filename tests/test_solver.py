@@ -2,6 +2,7 @@
 backends, the Mittag-Leffler closed-form oracle, the spectral cross-path,
 and the eps-perturbation ladder."""
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -257,7 +258,7 @@ def test_rect_fft_matrix_matches_direct_convolution():
     for alpha in (3 / 7, 199 / 203):
         order = approximate_order(alpha, tol=1e-12, q_max=200)
         problem = CauchyProblem(A=A, x0=x0, t0=t0, order=order)
-        got = solve_matrix(problem, SolveConfig(grid=grid)).states
+        got = solve_matrix(problem, SolveConfig(grid=grid, quadrature=Quadrature.RECTANGLE)).states
         ref = (_rect_direct(dec.lambdas, order, t0, grid) * (dec.T_inv @ x0)) @ dec.T.T
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -287,7 +288,7 @@ def test_rect_lattice_limit_fails_before_allocating():
         _rect_lattice(np.array(grid), 0.0, 2)
     problem = CauchyProblem(A=np.diag([-2.0, 3.0]), x0=[1.0, 1.0], t0=0.0, order=ORDER_13)
     with pytest.raises(DomainError, match="lattice"):
-        solve_matrix(problem, SolveConfig(grid=grid))
+        solve_matrix(problem, SolveConfig(grid=grid, quadrature=Quadrature.RECTANGLE))
 
 
 @given(start=st.floats(-1e4, 1e4), step=st.floats(1e-6, 10.0), n=st.integers(0, 2000),
@@ -539,7 +540,7 @@ def test_matrix_alpha_one_matches_expm():
         T = rng.uniform(-1.0, 1.0, size=(n, n)) + 2.0 * np.eye(n)
         A = T @ np.diag(lams) @ np.linalg.inv(T)
         problem = CauchyProblem(A=A, x0=rng.uniform(-1, 1, n), t0=0.0, order=ORDER_1)
-        got = solve_matrix(problem, SolveConfig(grid=grid))
+        got = solve_matrix(problem, SolveConfig(grid=grid, quadrature=Quadrature.RECTANGLE))
         ref = classical_exponential(problem, grid)
         assert np.max(np.abs(got.states - ref.states)) <= 1e-10
 
@@ -722,6 +723,44 @@ def test_empty_system_solves_on_both_backends(order, quadrature):
     assert traj.states.shape == (2, 0)
 
 
+@pytest.mark.parametrize("quadrature", list(Quadrature))
+def test_backend_value_solves_bit_for_bit_as_its_member(quadrature):
+    # "simpson" once fell through both branches of _modes and returned
+    # the first section alone: 3.1e-4 at t = 1.01, where x is 0.2841.
+    problem = CauchyProblem(A=[[-2.0, 1.0], [0.0, -1.0]], x0=[1.0, 0.5], t0=0.0,
+                            order=ORDER_13)
+    grid = _grid(0.01, 1.01)
+    by_value, by_member = (SolveConfig(grid=grid, quadrature=q)
+                           for q in (quadrature.value, quadrature))
+    assert by_value.quadrature is quadrature
+    assert np.array_equal(solve_matrix(problem, by_value).states,
+                          solve_matrix(problem, by_member).states)
+    ladder = [solve_limit_perturbation(problem, [[0.0, 0.0], [1.0, 0.0]], [1e-2, 1e-3], c)
+              for c in (by_value, by_member)]
+    assert np.array_equal(ladder[0][0].states, ladder[1][0].states)
+    assert ladder[0][1] == ladder[1][1]
+    scalar = CauchyProblem(A=[[-2.0]], x0=[1.0], t0=0.0, order=ORDER_13)
+    got = solve_matrix(scalar, SolveConfig(grid=[1.01], quadrature="simpson")).values
+    assert got == pytest.approx(scalar_closed_form(-2.0, 1.0, ORDER_13, 0.0, [1.01]).values,
+                                rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", ["bogus", None, 1, "SIMPSON", Quadrature])
+def test_any_other_backend_raises_domain_error(bad):
+    with pytest.raises(DomainError, match="'rectangle', 'simpson'"):
+        SolveConfig(grid=[1.0], quadrature=bad)
+
+
+def test_solve_config_defaults_to_simpson_and_is_frozen():
+    config = SolveConfig(grid=[0.5, 1.0])
+    assert config.quadrature is Quadrature.SIMPSON
+    for field, value in (("quadrature", Quadrature.RECTANGLE), ("grid", np.ones(2))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field, value)
+    assert config.quadrature is Quadrature.SIMPSON
+    assert np.array_equal(config.grid, [0.5, 1.0])
+
+
 def test_exponent_past_floating_range_raises_before_grid_work(monkeypatch):
     # e^(|r| u) / alpha, |r| u = 8 u at lambda = 2 and alpha = 1/3, passes
     # the largest double just below u = 88.6: the solve raises there
@@ -754,7 +793,7 @@ def test_linearity_in_x0():
     scaled = CauchyProblem(
         A=base.A, x0=3.0 * base.x0, t0=0.0, order=ORDER_13
     )
-    config = SolveConfig(grid=grid)
+    config = SolveConfig(grid=grid, quadrature=Quadrature.RECTANGLE)
     a = solve_matrix(base, config)
     b = solve_matrix(scaled, config)
     assert np.max(np.abs(b.states - 3.0 * a.states)) <= 1e-10 * np.max(
@@ -768,13 +807,14 @@ def test_similarity_covariance():
     A = np.array([[0.0, 1.0], [2.0, 1.0]])
     x0 = np.array([1.0, 0.0])
     base = solve_matrix(
-        CauchyProblem(A=A, x0=x0, t0=0.0, order=ORDER_13), SolveConfig(grid=grid)
+        CauchyProblem(A=A, x0=x0, t0=0.0, order=ORDER_13),
+        SolveConfig(grid=grid, quadrature=Quadrature.RECTANGLE),
     )
     for _ in range(5):
         P = rng.uniform(-1.0, 1.0, size=(2, 2)) + 2.0 * np.eye(2)
         conj = solve_matrix(
             CauchyProblem(A=P @ A @ np.linalg.inv(P), x0=P @ x0, t0=0.0, order=ORDER_13),
-            SolveConfig(grid=grid),
+            SolveConfig(grid=grid, quadrature=Quadrature.RECTANGLE),
         )
         rel = np.max(
             np.abs(conj.states - base.states @ P.T) / (1.0 + np.abs(base.states @ P.T))
@@ -836,7 +876,7 @@ def test_matrix_zero_eigenvalue_rejected():
         A=np.diag([0.0, 1.0]), x0=[1.0, 1.0], t0=0.0, order=ORDER_13
     )
     with pytest.raises(ZeroEigenvalueError):
-        solve_matrix(problem, SolveConfig(grid=_grid(0.1, 1.0)))
+        solve_matrix(problem, SolveConfig(grid=_grid(0.1, 1.0), quadrature=Quadrature.RECTANGLE))
 
 
 def test_matrix_complex_spectrum_rejected():
@@ -844,7 +884,7 @@ def test_matrix_complex_spectrum_rejected():
         A=[[0.0, 1.0], [-1.0, 0.0]], x0=[1.0, 0.0], t0=0.0, order=ORDER_13
     )
     with pytest.raises(ComplexSpectrumError):
-        solve_matrix(problem, SolveConfig(grid=_grid(0.1, 1.0)))
+        solve_matrix(problem, SolveConfig(grid=_grid(0.1, 1.0), quadrature=Quadrature.RECTANGLE))
 
 
 # ------------------------------------------------------- classical reference
@@ -912,7 +952,8 @@ def test_ladder_trivial_on_already_simple_matrix():
     )
     grid = np.linspace(0.1, 1.0, 20)
     traj, gaps = solve_limit_perturbation(
-        problem, np.zeros((2, 2)), [1e-2, 1e-3], SolveConfig(grid=grid)
+        problem, np.zeros((2, 2)), [1e-2, 1e-3],
+        SolveConfig(grid=grid, quadrature=Quadrature.RECTANGLE),
     )
     assert gaps == [0.0]
     ref = classical_exponential(problem, grid)
@@ -925,7 +966,8 @@ def test_ladder_jordan_block_converges_to_expm():
     )
     grid = np.linspace(0.1, 1.5, 100)
     traj, gaps = solve_limit_perturbation(
-        problem, np.diag([0.0, 1.0]), [1e-2, 1e-3, 1e-4], SolveConfig(grid=grid)
+        problem, np.diag([0.0, 1.0]), [1e-2, 1e-3, 1e-4],
+        SolveConfig(grid=grid, quadrature=Quadrature.RECTANGLE),
     )
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     ref = classical_exponential(problem, grid)
@@ -942,7 +984,7 @@ def test_ladder_rotation_raises_complex_spectrum():
         with pytest.raises(ComplexSpectrumError):
             solve_limit_perturbation(
                 problem, np.diag([1.0, 0.0]), [1e-2, 1e-3],
-                SolveConfig(grid=np.linspace(0.1, 1.0, 10)),
+                SolveConfig(grid=np.linspace(0.1, 1.0, 10), quadrature=Quadrature.RECTANGLE),
             )
 
 
@@ -951,7 +993,7 @@ def test_ladder_rungs_solve_a_plus_eps_b():
     # {1, 1 + eps}; the last rung is exactly the solve of that matrix.
     A, B = np.array([[1.0, 1.0], [0.0, 1.0]]), np.diag([0.0, 1.0])
     problem = CauchyProblem(A=A, x0=[1.0, 1.0], t0=0.0, order=ORDER_13)
-    config = SolveConfig(grid=_grid(0.01, 0.5))
+    config = SolveConfig(grid=_grid(0.01, 0.5), quadrature=Quadrature.RECTANGLE)
     traj, _ = solve_limit_perturbation(problem, B, [1e-2, 1e-3], config)
     rung = CauchyProblem(A=A + 1e-3 * B, x0=[1.0, 1.0], t0=0.0, order=ORDER_13)
     assert eig_real_simple(rung.A).lambdas == pytest.approx([1.0, 1.001], abs=1e-12)
@@ -962,7 +1004,7 @@ def test_ladder_validation():
     problem = CauchyProblem(
         A=[[1.0, 1.0], [0.0, 1.0]], x0=[1.0, 1.0], t0=0.0, order=ORDER_1
     )
-    config = SolveConfig(grid=np.linspace(0.1, 1.0, 10))
+    config = SolveConfig(grid=np.linspace(0.1, 1.0, 10), quadrature=Quadrature.RECTANGLE)
     B = np.diag([0.0, 1.0])
     with pytest.raises(DomainError):
         solve_limit_perturbation(problem, B, [1e-2], config)  # too short
@@ -983,5 +1025,5 @@ def test_ladder_growing_gaps_flagged():
     with pytest.raises(NonConvergenceError):
         solve_limit_perturbation(
             problem, np.diag([0.0, 1.0]), [1e-2, 9.9e-3, 1e-6],
-            SolveConfig(grid=np.linspace(0.1, 1.5, 50)),
+            SolveConfig(grid=np.linspace(0.1, 1.5, 50), quadrature=Quadrature.RECTANGLE),
         )

@@ -91,7 +91,9 @@ def _section_loop(x, m, j):
 
 @st.composite
 def _section_case(draw):
-    m = 2 * draw(st.integers(0, 1001)) + 1
+    # Both parities of m, and small m half the time: at even m and odd j
+    # every power is odd, so an all-negative array has a negative sum.
+    m = draw(st.one_of(st.integers(1, 16), st.integers(1, 2003)))
     j = draw(st.integers(0, m - 1))
     shape = draw(st.sampled_from([(), (1,), (6,), (3, 4), (2, 3, 4)]))
     values = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=math.prod(shape),
