@@ -291,6 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["mlf"] and not {"-h", "--help", "--"} & set(argv):
+        # argparse takes "-2e-1" or "-inf" for an option; past "--" every
+        # argument is a positional one, so mlf reads any number.
+        argv.insert(1, "--")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -23,12 +23,13 @@ recomposes with its eigenvectors.  `_terms` gives the kept terms as
 arrays: a = k/n, j = j_k and coef[term, i].  Two numerical backends
 evaluate the integrals (see `_modes`): the rectangle rule, the literal
 left-endpoint Riemann sum on a uniform grid, kept as formulated so the
-scheme itself is testable, slow O(h^(1/n)) convergence and all, with one
-FFT convolution per section j; and "simpson" (the name of an earlier
-adaptive Simpson rule, kept for the API and the CLI), Gauss–Jacobi
-rules of 16, 32, ..., 256 nodes, applied until two successive ones agree
-to SIMPSON_TOL.  `SolveConfig` parses its backend by `Quadrature(v)`, which
-takes a member or its value, and its SIMPSON is every caller's default.
+scheme itself is testable, slow O(h^(1/n)) convergence and all, with the
+sections j sampled by stacked exp_section calls and convolved by FFT;
+and "simpson" (the name of an earlier adaptive Simpson rule, kept for
+the API and the CLI), Gauss–Jacobi rules of 16, 32, ..., 256 nodes,
+applied until two successive ones agree to SIMPSON_TOL.  `SolveConfig`
+parses its backend by `Quadrature(v)`, which takes a member or its
+value, and its SIMPSON is every caller's default.
 
 For q = 0 (alpha = 1) every backend degenerates to the classical matrix
 exponential.  `scalar_closed_form` is the oracle: the Mittag-Leffler
@@ -85,11 +86,12 @@ MAX_LATTICE_SIZE = 10 ** 6
 #: Most points a grid built from a step may have (`_step_count`).
 MAX_GRID_POINTS = 10 ** 6
 #: Gauss–Jacobi node counts of the Simpson backend: GJ_MIN_NODES, doubled
-#: up to GJ_MAX_NODES; at most GJ_BLOCK_ELEMENTS (time, eigenvalue, node)
-#: triples at once.
+#: up to GJ_MAX_NODES.
 GJ_MIN_NODES = 16
 GJ_MAX_NODES = 256
-GJ_BLOCK_ELEMENTS = 2 ** 13
+#: Most elements of one exp_section call: (time, eigenvalue, node) triples
+#: of the Simpson backend, (section, node, eigenvalue) ones of the rectangle.
+SECTION_BLOCK_ELEMENTS = 2 ** 13
 #: classical_exponential passes expm blocks of at most this many entries,
 #: which bounds its Pade temporaries (about ten arrays of the block's size).
 EXPM_BLOCK_ELEMENTS = 2 ** 13
@@ -335,13 +337,13 @@ def _jacobi_integral(ru: np.ndarray, m: int, j: int, a: float,
     int_0^1 H_{m,j}(r u (1 - v^(1/a))) dv / scale, v = s^a, a per-term
     integral of size at most 1.  Past GJ_MAX_NODES it raises
     QuadratureFailureError.  Times go through exp_section in blocks of
-    at most GJ_BLOCK_ELEMENTS (time, eigenvalue, node) triples.
+    at most SECTION_BLOCK_ELEMENTS (time, eigenvalue, node) triples.
     """
     prev = None
     n_nodes = GJ_MIN_NODES
     while n_nodes <= GJ_MAX_NODES:
         s, w = gauss_jacobi(a, n_nodes)
-        step = max(1, GJ_BLOCK_ELEMENTS // (ru.shape[1] * n_nodes))
+        step = max(1, SECTION_BLOCK_ELEMENTS // (ru.shape[1] * n_nodes))
         cur = np.concatenate([exp_section(ru[i:i + step, :, None] * (1.0 - s), m, j) @ w
                               for i in range(0, len(ru), step)])
         if prev is not None and a * np.max(np.abs(cur - prev) / scale) <= SIMPSON_TOL:
@@ -390,9 +392,11 @@ def _modes(lams, order: FractionalOrder, t0: float, times,
     Rectangle: on the lattice u = k h each integral becomes
     h * sum_{sigma=0}^{k-1} ((k - sigma) h)^(a-1) H_{m,j}(r sigma h).
     The terms of one section j convolve the same samples, so their
-    kernels are summed, sum_i c_i (d h)^(a_i - 1), and each section costs
-    one real FFT convolution per eigenvalue; the spectra of all sections
-    are added before the one inverse transform.
+    kernels are summed, sum_i c_i (d h)^(a_i - 1).  The sections are
+    sampled by stacked exp_section calls of at most SECTION_BLOCK_ELEMENTS
+    elements, and each block takes one real FFT of its samples and one of
+    its kernels; the spectra of all sections are added in order of j
+    before the one inverse transform.
 
     Simpson: the substitution d = u s moves the weak singularity into
     the weight,
@@ -440,11 +444,18 @@ def _modes(lams, order: FractionalOrder, t0: float, times,
         # the largest damped sum, then stays relative to each x(t_k).
         damp = np.exp(-np.outer(h * np.arange(k_max + 1), rate))  # sigma = 0..k_max
         spectrum = np.zeros((size // 2 + 1, len(lams)), dtype=complex)
-        for j_g in sorted(set(j.tolist())):
-            # kernel[d-1, i] = sum over the section of c_i (d h)^(a-1), d = 1..k_max
-            kernel = dist ** (a[j == j_g] - 1.0) @ coef[j == j_g]
-            spectrum += (np.fft.rfft(exp_section(nodes, m, j_g) * damp[:-1], size, axis=0)
-                         * np.fft.rfft(kernel * damp[1:], size, axis=0))
+        sections = sorted(set(j.tolist()))
+        step = max(1, SECTION_BLOCK_ELEMENTS // max(1, nodes.size))
+        for start in range(0, len(sections), step):
+            block = sections[start:start + step]
+            samples = exp_section(nodes, m, block)
+            samples *= damp[:-1]
+            kernels = np.empty(samples.shape)
+            for kernel, j_g in zip(kernels, block):
+                # kernel[d-1, i] = sum over the section of c_i (d h)^(a-1), d = 1..k_max
+                np.multiply(dist ** (a[j == j_g] - 1.0) @ coef[j == j_g], damp[1:], out=kernel)
+            for product in np.fft.rfft(samples, size, axis=1) * np.fft.rfft(kernels, size, axis=1):
+                spectrum += product  # in the order of j
         # full[k-1] = sum_{sigma=0}^{k-1} kernel[k-1-sigma] H(r sigma h)
         full = np.fft.irfft(spectrum, size, axis=0)[:k_max]
         Y += h * full[k_idx - 1] * np.exp(np.outer(h * k_idx, rate))

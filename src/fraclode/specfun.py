@@ -33,13 +33,18 @@ ML_BLOCK_ELEMENTS = 2 ** 14
 ML_MAX_TERMS = 200_000
 
 
-def exp_section(x, m: int, j: int) -> np.ndarray:
+def exp_section(x, m: int, j) -> np.ndarray:
     """H_{m,j}(x) = sum_{i>=0} x^(j+m*i) / (j+m*i)!, elementwise.
 
     The j-th m-section of the exponential: sum_j H_{m,j} = exp and
     H_{1,0} = exp.  Every term is bounded by X^k / k!, X = max|x|, a
     bound that rises until k passes X.  For x < 0 and m > 1 the terms
     cancel, so the absolute accuracy there is about 1e-16 * e^|x|.
+
+    j may also be a 1-D sequence of ints: the result is then the stack
+    (len(j),) + x.shape of those sections, each slice with the bits of
+    exp_section(x, m, j_t), from one log|x|, one power loop and one stop
+    rule.
 
     Each element's next term after t_p is bounded: |t_{p+m}| <= |t_p| phi,
     phi = X^m p! / (p+m)!, which falls as p grows and is below 1 past the
@@ -49,55 +54,105 @@ def exp_section(x, m: int, j: int) -> np.ndarray:
     total (at least 2^-54 |total|, about 5.5e-17 |total|), and would leave
     it unchanged, so this stop and any later one return the bits of the
     sum that stops at the first term past the peak below SECTION_TOL times
-    each element's partial sum.  phi is taken in logs.  A failed check
-    predicts rho at the next powers as its own rho times their phi's, and
-    no power is checked before that prediction times phi reaches
-    SECTION_TOL.  An exact cancellation, total = 0 under a term t_p != 0,
-    makes rho infinite; that check predicts nothing, so the next power is
-    checked.  A non-finite element raises DomainError: no bound holds.
+    each element's partial sum.  A stack checks all its sections at once,
+    with the phi of its least power, the largest, so it stops only where
+    each section's own check would allow a stop.  At the first power each
+    total is its own term, so rho <= 1, and where phi <= SECTION_TOL there
+    the sum stops without forming rho.  phi is taken in logs.  A failed
+    check predicts rho at the next powers as its own rho times their
+    phi's, and no power is checked before that prediction times phi
+    reaches SECTION_TOL.  An exact cancellation, total = 0 under a term
+    t_p != 0, makes rho infinite; that check predicts nothing, so the next
+    power is checked.  A non-finite element raises DomainError: no bound
+    holds.
     """
     x = np.asarray(x, dtype=float)
-    if m < 1 or not 0 <= j < m:
-        raise DomainError(f"need m >= 1 and 0 <= j < m, got m={m}, j={j}")
+    stacked = not isinstance(j, (int, np.integer))
+    js = ([int(v) for v in j] if np.ndim(j) == 1 else [-1]) if stacked else [j]
+    if m < 1 or (js and not 0 <= min(js) <= max(js) < m):
+        raise DomainError(f"need m >= 1 and j, or each j of a 1-D sequence, in [0, m), "
+                          f"got m={m}, j={j}")
     if m == 1:
-        return np.exp(x)
+        return np.exp(x)[None].repeat(len(js), axis=0) if stacked else np.exp(x)
+    if not stacked:
+        return _sections(x, m, js, x.shape)
+    # The rows by parity, then j, as _sections takes them.
+    order = sorted(range(len(js)), key=lambda t: (js[t] % 2, js[t]))
+    rows = _sections(x, m, [js[t] for t in order], (len(js),) + x.shape)
+    return rows if order == sorted(order) else rows[np.argsort(order)]
+
+
+def _sections(x: np.ndarray, m: int, js: list[int], shape: tuple) -> np.ndarray:
+    """exp_section(x, m, j) for m > 1: one section where shape is x.shape,
+    else the stack of rows j in js, ordered by parity, then j.  So the
+    rows of j = 0 lead, and at each power the rows at odd powers, whose
+    terms take the sign of x, are rows[:evens] or rows[evens:]."""
+    n, evens = len(js), len(js) - sum([v % 2 for v in js])
+    j_min = min(js, default=0)
+    stacked = len(shape) > x.ndim
     lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
     big = max(hi, -lo)
     if not math.isfinite(big):
         raise DomainError(f"x must be finite, got an element with |x| = {big}")
-    if big == 0.0:
-        return np.full(x.shape, 1.0 if j == 0 else 0.0)
+    total, scratch, term = np.empty(shape), np.empty(shape), np.empty(shape)
+    zeros = slice(js.count(0)) if stacked else ...  # the rows of j = 0
+    if big == 0.0 or not n:  # x^0 / 0! = 1; every other term is 0
+        total[...] = 0.0
+        if j_min == 0:
+            total[zeros] = 1.0
+        return total
     log_abs = np.abs(x, out=np.empty(x.shape))  # an array even where x is 0-d
     with np.errstate(divide="ignore"):
         np.log(log_abs, out=log_abs)
     log_big = math.log(big)
-    total, scratch = np.zeros(x.shape), np.empty(x.shape)
-    term = np.ones(x.shape) if j == 0 else np.empty(x.shape)  # x^0 / 0! = 1
-    power, predicted = j, -math.inf  # log rho predicted at power; -inf: none
+    # (total, term, scratch, parity of j) of each run of rows of one parity.
+    runs = [(total, term, scratch, js[0] % 2)] if evens in (0, n) else [
+        (total[:evens], term[:evens], scratch[:evens], 0),
+        (total[evens:], term[evens:], scratch[evens:], 1)]
+    base, predicted = 0, -math.inf  # log rho predicted at the powers; -inf: none
+    log_fact = math.lgamma(j_min + 1)  # log p!, p = j_min + base, the least power
     while True:
-        if power:
-            np.multiply(log_abs, power, out=term)
-            term -= math.lgamma(power + 1)
+        if stacked:
+            # At base 0 a power 0 is formed as the power 1 (0 log 0 is NaN),
+            # and its term set to x^0 / 0! = 1 below.
+            powers = [max(v + base, 1) for v in js]
+            column = np.array([powers, [math.lgamma(p + 1) for p in powers]]).reshape(
+                (2, n) + (1,) * x.ndim)
+            np.multiply(log_abs, column[0], out=term)
+            term -= column[1]
             np.exp(term, out=term)
-        # total never holds -0.0, so the sign of a zero term is moot.
-        if power % 2 == 0 or lo >= 0.0:
-            total += term
-        elif hi <= 0.0:
-            total -= term
-        else:
-            total += np.copysign(term, x, out=scratch)
-        log_phi = m * log_big - math.lgamma(power + m + 1) + math.lgamma(power + 1)
+        elif base or j_min:
+            np.multiply(log_abs, j_min + base, out=term)
+            term -= log_fact
+            np.exp(term, out=term)
+        if not base and j_min == 0:
+            term[zeros] = 1.0
+        # The first power starts the sum as 0 + t: total never holds -0.0,
+        # so the sign of a zero term is moot.
+        for tot, ter, scr, parity in runs:
+            partial = tot if base else 0.0
+            if lo >= 0.0 or (parity + base) % 2 == 0:  # no x < 0, or an even power
+                np.add(partial, ter, out=tot)
+            elif hi <= 0.0:
+                np.subtract(partial, ter, out=tot)
+            else:
+                np.add(partial, np.copysign(ter, x, out=scr), out=tot)
+        log_fact_next = math.lgamma(j_min + base + m + 1)
+        log_phi = m * log_big - log_fact_next + log_fact
         if log_phi < 0.0 and predicted + log_phi <= _LOG_SECTION_TOL:
+            phi = math.exp(log_phi)
+            if not base and phi <= SECTION_TOL:  # each total is its term: rho <= 1
+                return total
             with np.errstate(divide="ignore", invalid="ignore"):
                 # 0/0 is NaN, which fmax skips; t/0 is inf.  No x < 0: total >= 0.
                 np.divide(term, total if lo >= 0.0 else np.abs(total, out=scratch),
                           out=scratch)
             rho = float(np.fmax.reduce(scratch, axis=None, initial=0.0))
-            if rho * math.exp(log_phi) <= SECTION_TOL:
+            if rho * phi <= SECTION_TOL:
                 return total
             predicted = math.log(rho) if rho < math.inf else -math.inf
         predicted += log_phi
-        power += m
+        base, log_fact = base + m, log_fact_next
 
 
 @dataclass(frozen=True)

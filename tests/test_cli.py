@@ -435,7 +435,21 @@ def test_mlf_sum_past_double_range_is_solver_error():
     assert "NonConvergenceError" in result.stderr and "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("args", [("inf", "1", "0.5"), ("0.5", "nan", "1"), ("0.5", "1", "nan")])
+def test_mlf_reads_negative_numbers_in_exponent_notation():
+    # argparse takes -2e-1 for an option flag unless mlf ends the options.
+    plain = run_cli("mlf", "0.5", "1", "-0.2")
+    assert (plain.returncode, plain.stdout) == (0, "0.80901951990158072\n")
+    for z in ("-2e-1", "-.2E0"):
+        result = run_cli("mlf", "0.5", "1", z)
+        assert (result.returncode, result.stdout) == (0, plain.stdout)
+    result = run_cli("mlf", "-1e-1", "1", "0.5")
+    assert result.returncode == 3 and "alpha must be positive" in result.stderr
+    result = run_cli("mlf", "0.5", "-h")
+    assert result.returncode == 0 and "usage: fraclode mlf" in result.stdout
+
+
+@pytest.mark.parametrize("args", [("inf", "1", "0.5"), ("0.5", "nan", "1"), ("0.5", "1", "nan"),
+                                  ("0.5", "1", "-inf"), ("-inf", "1", "0.5")])
 def test_mlf_non_finite_argument_is_solver_error(args):
     result = run_cli("mlf", *args)
     assert result.returncode == 3

@@ -231,6 +231,58 @@ def _rect_direct(lams, order, t0, times):
     return Y
 
 
+def _rect_section_loop(lams, order, t0, times):
+    """Y[k, i] of the rectangle backend as _modes evaluated it one section
+    at a time: one exp_section call and one pair of FFTs per section j,
+    the spectra added in order of j.  q > 0."""
+    times = np.asarray(times, dtype=float)
+    lams = np.asarray(lams, dtype=float)
+    u = times - t0
+    m, r, a, j, coef = _terms(lams, order, float(u[-1]))
+    growth = max(0.0, math.cos(math.pi / m))
+    Y = exp_section(np.outer(u, r), m, 0)
+    rate = np.abs(r) * np.where(r > 0.0, 1.0, growth)
+    h, k_idx = _rect_lattice(times, t0, len(lams))
+    k_max = int(k_idx[-1])
+    size = _fft_size(2 * k_max - 1)
+    nodes = np.outer(h * np.arange(k_max), r)
+    dist = h * np.arange(1, k_max + 1)[:, None]
+    damp = np.exp(-np.outer(h * np.arange(k_max + 1), rate))
+    spectrum = np.zeros((size // 2 + 1, len(lams)), dtype=complex)
+    for j_g in sorted(set(j.tolist())):
+        kernel = dist ** (a[j == j_g] - 1.0) @ coef[j == j_g]
+        spectrum += (np.fft.rfft(exp_section(nodes, m, j_g) * damp[:-1], size, axis=0)
+                     * np.fft.rfft(kernel * damp[1:], size, axis=0))
+    full = np.fft.irfft(spectrum, size, axis=0)[:k_max]
+    Y += h * full[k_idx - 1] * np.exp(np.outer(h * k_idx, rate))
+    return Y
+
+
+@pytest.mark.parametrize("alpha", [3 / 7, 199 / 203, 1999 / 2003])
+def test_rect_stacked_sections_match_the_section_loop_bit_for_bit(alpha):
+    # K = 1001 puts the sections of 199/203 and 1999/2003 in several
+    # blocks of SECTION_BLOCK_ELEMENTS, and so does n = 20 at K = 101.
+    order = approximate_order(alpha, tol=1e-12, q_max=1001)
+    for K in (101, 1001):
+        grid = (1.01 / K) * np.arange(1, K + 1)
+        for lam in (-2.0, 2.0):
+            got = solve_scalar_rect(lam, 1.0, order, 0.0, grid).values
+            assert np.array_equal(got, _rect_section_loop([lam], order, 0.0, grid)[:, 0])
+    rng = np.random.default_rng(5)
+    grid = _grid(0.01, 1.01)
+    for lams in ([-1.7, -0.6, 1.3], [s * (0.3 + 0.2 * i) for i in range(10) for s in (-1, 1)],
+                 []):
+        n = len(lams)
+        S = rng.standard_normal((n, n)) + 4.0 * np.eye(n)
+        problem = CauchyProblem(A=S @ np.diag(lams) @ np.linalg.inv(S),
+                                x0=rng.uniform(-1.0, 1.0, n), t0=0.0, order=order)
+        got = solve_matrix(problem, SolveConfig(grid=grid, quadrature=Quadrature.RECTANGLE))
+        dec = eig_real_simple(problem.A)
+        want = ((_rect_section_loop(dec.lambdas, order, 0.0, grid) * (dec.T_inv @ problem.x0))
+                @ dec.T.T)
+        assert got.states.shape == (len(grid), n) and np.array_equal(got.states, want)
+
+
 @pytest.mark.parametrize("alpha", [1 / 3, 3 / 7, 199 / 203])
 @pytest.mark.parametrize("K", [101, 2000])
 def test_rect_fft_matches_direct_convolution(alpha, K):

@@ -124,6 +124,72 @@ def test_exp_section_matches_the_full_loop_bit_for_bit(case):
     assert got.shape == want.shape and np.array_equal(got, want)
 
 
+@st.composite
+def _stack_case(draw):
+    # Distinct j in any order, both parities of m, and small m half the
+    # time; x of any sign pattern, with zeros, -0.0 and the least subnormal.
+    m = draw(st.one_of(st.integers(1, 16), st.integers(1, 2003)))
+    js = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6, unique=True))
+    shape = draw(st.sampled_from([(), (1,), (6,), (3, 4), (2, 3, 4)]))
+    size = math.prod(shape)
+    values = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size)))
+    signs = draw(st.sampled_from(["mixed", "nonnegative", "nonpositive"]))
+    if signs != "mixed":
+        values = np.abs(values) if signs == "nonnegative" else -np.abs(values)
+    if draw(st.booleans()):
+        scale = draw(st.one_of(st.sampled_from([1e-300, 0.5, 2.2, 700.0]),
+                               st.floats(-8.0, 2.845).map(lambda e: 10.0 ** e)))
+    else:
+        # X with the bound X^m p!/(p+m)! around SECTION_TOL at the least
+        # power p, where the first power can stop the sum, or one later.
+        p = min(js) + draw(st.sampled_from([0, m]))
+        log_phi = draw(st.floats(-20.0, -12.0)) * math.log(10.0)
+        scale = min(700.0, math.exp((log_phi + math.lgamma(p + m + 1)
+                                     - math.lgamma(p + 1)) / m))
+    x = scale * values
+    specials = {"mixed": [0.0, -0.0, 5e-324, -5e-324], "nonnegative": [0.0, -0.0, 5e-324],
+                "nonpositive": [0.0, -0.0, -5e-324]}[signs]
+    for i in draw(st.lists(st.integers(0, size - 1), max_size=size)):
+        x[i] = draw(st.sampled_from(specials))
+    return x.reshape(shape), m, js
+
+
+@given(case=_stack_case())
+@settings(max_examples=300, deadline=None)
+def test_exp_section_stack_matches_each_section_bit_for_bit(case):
+    # A stack stops where its least power's bound allows, which each
+    # slice's own sum allows too: only terms below half an ulp differ.
+    x, m, js = case
+    stack = exp_section(x, m, js)
+    assert stack.shape == (len(js),) + x.shape
+    for row, j in zip(stack, js):
+        for want in (exp_section(x, m, j), _section_loop(x, m, j)):
+            assert np.array_equal(row, want) and np.array_equal(np.signbit(row), np.signbit(want))
+
+
+def test_exp_section_stack_stops_on_its_least_power():
+    # The rows run even j first, so here the least power is not the first
+    # row's; the stop taken with the first row's phi cuts j = 1 short.
+    for m in (4, 10):
+        js = [m - 2, 1]
+        for s in np.geomspace(1e-3, 30.0, 60):
+            for x in (np.linspace(-s, s, 7), np.array(s), -np.linspace(0.0, s, 5)):
+                for row, j in zip(exp_section(x, m, js), js):
+                    assert np.array_equal(row, exp_section(x, m, j))
+
+
+def test_exp_section_stack_edge_cases():
+    x = np.linspace(-3.0, 3.0, 7)
+    assert exp_section(x, 5, []).shape == (0, 7)
+    assert np.array_equal(exp_section(x, 1, np.array([0])), [np.exp(x)])
+    assert np.array_equal(exp_section(np.zeros(3), 4, (2, 0)), [[0.0] * 3, [1.0] * 3])
+    assert np.array_equal(exp_section(x, 4, [3, 1, 3]),
+                          [exp_section(x, 4, 3), exp_section(x, 4, 1), exp_section(x, 4, 3)])
+    for js in ([0, 4], [-1], [[0], [1]]):
+        with pytest.raises(DomainError, match="1-D sequence"):
+            exp_section(x, 4, js)
+
+
 def test_exp_section_one_signed_arrays_match_the_full_loop():
     # With no x < 0 every total is >= 0, and the stop check divides by it
     # as it is; with every x <= 0 the odd powers' terms are subtracted.
@@ -137,21 +203,26 @@ def test_exp_section_one_signed_arrays_match_the_full_loop():
 
 def test_exp_section_stops_one_exponential_early(monkeypatch):
     calls = []
-    exp = np.exp
+    exp, divide = np.exp, np.divide
     monkeypatch.setattr("fraclode.specfun.np.exp",
                         lambda *args, **kwargs: calls.append(1) or exp(*args, **kwargs))
+    monkeypatch.setattr("fraclode.specfun.np.divide",
+                        lambda *args, **kwargs: calls.append(0) or divide(*args, **kwargs))
 
     def count(section, *args):
         calls.clear()
         section(*args)
-        return len(calls)
+        return calls.count(1)
 
     x = np.linspace(-2.2, 2.2, 45).reshape(5, 9)  # zero included
     # Near alpha = 1 a section past the peak (j > max|x|) has one
-    # significant term, whose bound proves the next negligible.
+    # significant term, whose bound proves the next negligible.  At the
+    # first power that bound alone stops the sum: no stop check divides.
     for j in (3, 10, 198):
-        assert count(exp_section, x, 199, j) == 1
+        assert count(exp_section, x, 199, j) == 1 and calls.count(0) == 0
         assert count(_section_loop, x, 199, j) == 2
+    # A stack forms all its sections' first terms as one exponential.
+    assert count(exp_section, x, 199, [0, 1, 2, 3, 10, 198]) == 1 and calls.count(0) == 0
     # Below the peak the bound phi = X^m p!/(p+m)! is already tiny at
     # m = 199, so the first term stops the sum too: j = 0 forms no
     # exponential, and j = 1, 2 one, where the loop forms the next power's.
@@ -187,7 +258,7 @@ def test_exp_section_skips_checks_a_failed_one_rules_out(monkeypatch):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_exp_section_non_finite_element_raises_domain_error(bad):
     # No term bound holds for a non-finite element, so the sum could never stop.
-    for m, j in ((3, 1), (3, 0), (199, 5)):
+    for m, j in ((3, 1), (3, 0), (199, 5), (3, [0, 2])):
         with pytest.raises(DomainError, match="finite"):
             exp_section(np.array([1.0, bad]), m, j)
 
