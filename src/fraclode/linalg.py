@@ -78,10 +78,10 @@ def eig_real_simple(A) -> SpectralDecomposition:
     idx = np.argsort(w, kind="stable")
     w = w[idx]
     V = V[:, idx]
-    if len(w) > 1 and np.min(np.diff(w)) <= gap_tol:
-        raise ClusteredSpectrumError(
-            f"minimum eigenvalue gap {np.min(np.diff(w)):.3e} <= gap_tol {gap_tol:.3e}"
-        )
+    with np.errstate(over="ignore"):  # a gap past floating range is inf, not clustered
+        gap = float(np.min(np.diff(w), initial=np.inf))
+    if gap <= gap_tol:
+        raise ClusteredSpectrumError(f"minimum eigenvalue gap {gap:.3e} <= gap_tol {gap_tol:.3e}")
 
     # Deterministic column scaling: unit norm, largest-|.| entry positive.
     for j in range(V.shape[1]):

@@ -245,15 +245,14 @@ def _rect_lattice(times: np.ndarray, t0: float,
     rounding = _time_rounding(t0, times[0], times[-1])
     if len(times) > 1:
         diffs = np.diff(times)
-        h = float(np.min(diffs))
-        if np.max(np.abs(diffs - np.round(diffs / h) * h)) > 1e-9 * h + rounding:
+        h = float(diffs.min())
+        if np.abs(diffs - np.rint(diffs / h) * h).max() > 1e-9 * h + rounding:
             raise NonUniformGridError("rectangle backend requires a uniform grid step")
     else:
         h = float(times[0] - t0)
     ks = (times - t0) / h
-    k_int = np.round(ks).astype(int)
-    if (np.max(np.abs(ks - k_int)) > 1e-6 + (ks[-1] + 1.0) * rounding / h
-            or np.min(k_int) < 1):
+    k_int = np.rint(ks).astype(int)
+    if np.abs(ks - k_int).max() > 1e-6 + (ks[-1] + 1.0) * rounding / h or k_int.min() < 1:
         raise NonUniformGridError(
             "rectangle backend requires grid points on the lattice t0 + k*h, k >= 1"
         )
@@ -297,31 +296,38 @@ def _terms(lams: np.ndarray, order: FractionalOrder, u_max: float
     A term is kept when, for some eigenvalue, its bound
     |c| (n/k) u^(k/n) X^j e^X / j!, X = |r| u_max, is at least
     TERM_TOL * e^X.  Gamma(k/n) >= 1 on (0, 1], so the bound without the
-    1/Gamma(k/n) in |c| is an upper bound: it screens the candidates, and
-    log Gamma is taken of the survivors only.
+    1/Gamma(k/n) in |c| is an upper bound.  In logs, that bound depends
+    on lambda only through (k/m) log|lambda| + j log X, with
+    log X = (n/m) log|lambda| + log u_max, which rises with |lambda|.  So
+    it screens the n - 1 candidates at the largest |lambda| alone, and
+    the keep test, per eigenvalue, and log Gamma are taken of the
+    survivors only.  An empty spectrum keeps no term.
     """
     m, n = _reduced(order)
     sign, mag = np.where(lams < 0.0, -1.0, 1.0), np.abs(lams)
     r = sign * mag ** (n / m)  # n is odd
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, m)))))  # log j!
-    log_tol = math.log(TERM_TOL)
+    log_tol, log_u = math.log(TERM_TOL), math.log(u_max)
     n_inv = pow(n, -1, m)
     # log X; where X underflows to 0, j log X is 0 at j = 0 and -inf past it.
     x = np.abs(r) * u_max
     log_x = np.log(x, out=np.full(x.shape, -np.inf), where=x > 0.0)
+    log_mag = np.log(mag)
 
-    def log_bound(k, log_gamma):
-        """log of the bound per (term, eigenvalue); 0 for log_gamma drops 1/Gamma."""
-        a, j = k / n, (-k * n_inv) % m
-        return ((np.log(n / k) - log_gamma + a * math.log(u_max) - log_fact[j])[:, None]
-                + np.outer(k / m, np.log(mag))
-                + np.where(j[:, None] > 0, np.outer(np.maximum(j, 1), log_x), 0.0))
+    def log_bound(k, log_gamma, eig):
+        """log of the bound per (term, eigenvalue) of the eigenvalues in the
+        slice eig; 0 for log_gamma drops 1/Gamma."""
+        a, j = (k / n)[:, None], ((-k * n_inv) % m)[:, None]
+        return ((np.log(n / k)[:, None] - log_gamma + a * log_u - log_fact[j])
+                + (k / m)[:, None] * log_mag[eig]
+                + np.where(j > 0, np.maximum(j, 1) * log_x[eig], 0.0))
 
     k = np.arange(1, n)
-    # The margin covers the rounding of the two sums' different orders.
-    k = k[np.any(log_bound(k, 0.0) >= log_tol - 1e-9, axis=1)]
+    if lams.size:  # the screen; its margin covers the rounding of the two sums' orders
+        top = int(mag.argmax())
+        k = k[log_bound(k, 0.0, slice(top, top + 1))[:, 0] >= log_tol - 1e-9]
     log_gamma = np.array(list(map(math.lgamma, (k / n).tolist())))  # log Gamma(k/n)
-    kept = np.any(log_bound(k, log_gamma) >= log_tol, axis=1)
+    kept = (log_bound(k, log_gamma[:, None], slice(None)) >= log_tol).any(axis=1)
     k, log_gamma = k[kept], log_gamma[kept]
     coef = sign ** k[:, None] * mag ** (k[:, None] / m) / np.exp(log_gamma[:, None])
     return m, r, k / n, (-k * n_inv) % m, coef
@@ -337,15 +343,17 @@ def _jacobi_integral(ru: np.ndarray, m: int, j: int, a: float,
     int_0^1 H_{m,j}(r u (1 - v^(1/a))) dv / scale, v = s^a, a per-term
     integral of size at most 1.  Past GJ_MAX_NODES it raises
     QuadratureFailureError.  Times go through exp_section in blocks of
-    at most SECTION_BLOCK_ELEMENTS (time, eigenvalue, node) triples.
+    at most SECTION_BLOCK_ELEMENTS (time, eigenvalue, node) triples, each
+    block's integrals written in place into one array.
     """
     prev = None
     n_nodes = GJ_MIN_NODES
     while n_nodes <= GJ_MAX_NODES:
         s, w = gauss_jacobi(a, n_nodes)
         step = max(1, SECTION_BLOCK_ELEMENTS // (ru.shape[1] * n_nodes))
-        cur = np.concatenate([exp_section(ru[i:i + step, :, None] * (1.0 - s), m, j) @ w
-                              for i in range(0, len(ru), step)])
+        cur = np.empty(ru.shape)
+        for i in range(0, len(ru), step):
+            cur[i:i + step] = exp_section(ru[i:i + step, :, None] * (1.0 - s), m, j) @ w
         if prev is not None and a * np.max(np.abs(cur - prev) / scale) <= SIMPSON_TOL:
             return cur
         prev = cur
@@ -394,9 +402,12 @@ def _modes(lams, order: FractionalOrder, t0: float, times,
     The terms of one section j convolve the same samples, so their
     kernels are summed, sum_i c_i (d h)^(a_i - 1).  The sections are
     sampled by stacked exp_section calls of at most SECTION_BLOCK_ELEMENTS
-    elements, and each block takes one real FFT of its samples and one of
-    its kernels; the spectra of all sections are added in order of j
-    before the one inverse transform.
+    elements.  Each block raises d h to its own terms' a - 1 only: the
+    kernel of a one-term section is its power times its coefficients,
+    all of the block's in one multiply, and a section of several terms
+    sums them by a matmul.  Each block takes one real FFT of its samples
+    and one of its kernels, and adds its spectra, in order of j, in one
+    pass before the one inverse transform.
 
     Simpson: the substitution d = u s moves the weak singularity into
     the weight,
@@ -410,7 +421,8 @@ def _modes(lams, order: FractionalOrder, t0: float, times,
     max(0, cos(pi/m)) for r < 0; integrals are divided by that bound,
     which makes SIMPSON_TOL relative to their scale (see _jacobi_integral).
 
-    For q = 0 there are no integrals and Y = exp(lambda u) exactly.
+    For q = 0 there are no integrals: once the range is checked, Y is
+    exp(lambda u), with no term table and no grid work.
     """
     times = _check_times(times, t0)
     lams = np.asarray(lams, dtype=float)
@@ -420,6 +432,8 @@ def _modes(lams, order: FractionalOrder, t0: float, times,
         raise ZeroEigenvalueError("lambda = 0 is outside the solver's domain")
     u = times - t0
     _check_range(lams, order, float(u[-1]))
+    if order.q == 0:  # r = lambda, and H_{1,0} is exp
+        return times, np.exp(np.outer(u, lams))
     m, r, a, j, coef = _terms(lams, order, float(u[-1]))
     growth = max(0.0, math.cos(math.pi / m))  # of H_{m,j}(r u) for r < 0
     if quadrature is Quadrature.SIMPSON and m > 1 and np.any(r < 0.0):
@@ -433,7 +447,7 @@ def _modes(lams, order: FractionalOrder, t0: float, times,
         for a_k, j_k, c in zip(a.tolist(), j.tolist(), coef):
             integral = _jacobi_integral(ru, m, j_k, a_k, scale)
             Y += c * u[:, None] ** a_k * integral
-    elif order.q > 0:  # RECTANGLE, the other member; q = 0 has no integrals
+    else:  # RECTANGLE, the other member
         h, k_idx = _rect_lattice(times, t0, len(lams))
         k_max = int(k_idx[-1])
         size = _fft_size(2 * k_max - 1)  # no wrap-around in the first k_max
@@ -444,16 +458,26 @@ def _modes(lams, order: FractionalOrder, t0: float, times,
         # the largest damped sum, then stays relative to each x(t_k).
         damp = np.exp(-np.outer(h * np.arange(k_max + 1), rate))  # sigma = 0..k_max
         spectrum = np.zeros((size // 2 + 1, len(lams)), dtype=complex)
-        sections = sorted(set(j.tolist()))
+        members: dict[int, list[int]] = {}  # the terms of each section j, in order
+        for t, j_t in enumerate(j.tolist()):
+            members.setdefault(j_t, []).append(t)
+        sections = sorted(members)
         step = max(1, SECTION_BLOCK_ELEMENTS // max(1, nodes.size))
         for start in range(0, len(sections), step):
             block = sections[start:start + step]
             samples = exp_section(nodes, m, block)
             samples *= damp[:-1]
+            # kernel[d-1, i] = sum over the section of c_i (d h)^(a-1), d = 1..k_max
             kernels = np.empty(samples.shape)
-            for kernel, j_g in zip(kernels, block):
-                # kernel[d-1, i] = sum over the section of c_i (d h)^(a-1), d = 1..k_max
-                np.multiply(dist ** (a[j == j_g] - 1.0) @ coef[j == j_g], damp[1:], out=kernel)
+            lone = [g for g, j_g in enumerate(block) if len(members[j_g]) == 1]
+            if lone:  # c (d h)^(a-1) of every one-term section, in one multiply
+                t = [members[block[g]][0] for g in lone]
+                kernels[lone] = (dist ** (a[t] - 1.0)).T[:, :, None] * coef[t, None]
+            for g, j_g in enumerate(block):
+                idx = members[j_g]
+                if len(idx) > 1:  # its terms summed by a matmul
+                    kernels[g] = dist ** (a[idx] - 1.0) @ coef[idx]
+            kernels *= damp[1:]
             for product in np.fft.rfft(samples, size, axis=1) * np.fft.rfft(kernels, size, axis=1):
                 spectrum += product  # in the order of j
         # full[k-1] = sum_{sigma=0}^{k-1} kernel[k-1-sigma] H(r sigma h)

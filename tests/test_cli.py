@@ -243,6 +243,17 @@ def test_solve_overflowing_x0_exits_3_without_warning(tmp_path):
     assert "Warning" not in result.stderr
 
 
+def test_solve_spectrum_near_floating_range_exits_3_without_warning(tmp_path):
+    # The eigenvalue gap of diag(1e308, -1e308) overflows; the solve
+    # still fails on the range of r = lambda^3 alone.
+    payload = dict(BASIC_SPEC, A=[[1e308, 0.0], [0.0, -1e308]], x0=[1.0, 1.0])
+    spec = write_spec(tmp_path, "p.json", payload)
+    result = run_cli("solve", "--config", spec, "--out", str(tmp_path / "o.csv"))
+    assert result.returncode == 3
+    assert "OverflowError_" in result.stderr
+    assert "Warning" not in result.stderr
+
+
 def test_table_far_from_zero(tmp_path):
     from fraclode.cli import main
 

@@ -1,6 +1,7 @@
 """Tests for the dense real small-matrix kernels."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,17 @@ def test_eig_rotation_is_complex():
 def test_eig_repeated_is_clustered():
     with pytest.raises(ClusteredSpectrumError):
         eig_real_simple([[1.0, 1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("A, top", [(np.diag([1e308, -1e308]), 1e308),
+                                    ([[1e308, 1e308], [1e308, -1e308]], math.sqrt(2.0) * 1e308)])
+def test_eig_gap_past_floating_range_decomposes_without_warning(A, top):
+    # The gap between eigenvalues near +-1e308 overflows to inf: it is not
+    # clustered, and taking it once warned of overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = eig_real_simple(A)
+    assert dec.lambdas == pytest.approx([-top, top], rel=1e-14)
 
 
 def test_eig_reconstruction_and_determinism():

@@ -258,10 +258,12 @@ def _rect_section_loop(lams, order, t0, times):
     return Y
 
 
-@pytest.mark.parametrize("alpha", [3 / 7, 199 / 203, 1999 / 2003])
+@pytest.mark.parametrize("alpha", [1 / 3, 1 / 5, 3 / 7, 199 / 203, 1999 / 2003])
 def test_rect_stacked_sections_match_the_section_loop_bit_for_bit(alpha):
     # K = 1001 puts the sections of 199/203 and 1999/2003 in several
     # blocks of SECTION_BLOCK_ELEMENTS, and so does n = 20 at K = 101.
+    # At 1/3 (m = 1) the one section holds two terms, at 1/5 four, and
+    # at 3/7 each of the three holds two: their kernels sum by a matmul.
     order = approximate_order(alpha, tol=1e-12, q_max=1001)
     for K in (101, 1001):
         grid = (1.01 / K) * np.arange(1, K + 1)
@@ -712,8 +714,12 @@ def _reference_terms(lam, m, n, u_max):
     for k in range(1, n):
         j = (-k * n_inv) % m
         coef = rpow(lam, k, m) / math.gamma(k / n)
+        if coef == 0.0:  # lambda^(k/m) underflows
+            continue
+        x = abs(r) * u_max  # 0 where the rate underflows: X^0 is 1, X^j is 0
+        log_x_j = j * math.log(x) if x > 0.0 else (0.0 if j == 0 else -math.inf)
         log_bound = (math.log(abs(coef) * n / k) + (k / n) * math.log(u_max)
-                     + j * math.log(abs(r) * u_max) - math.lgamma(j + 1))
+                     + log_x_j - math.lgamma(j + 1))
         if log_bound >= math.log(TERM_TOL):
             kept[k] = (j, coef)
     return kept
@@ -744,6 +750,12 @@ def _check_terms_against_loop(m, n, lams, u_maxes):
 def test_terms_keep_what_a_per_k_loop_keeps(m, n):
     lams = [s * v for v in (0.3, 2.0, 5.0, 10.0) for s in (-1.0, 1.0)]
     _check_terms_against_loop(m, n, lams, (0.01, 1.01, 10.0))
+    # _terms screens at the largest |lambda| only: spectra whose largest
+    # |lambda| is negative, a +-lambda pair, and a rate that underflows
+    # (at m = 1) beside a normal one must keep the union all the same.
+    for lams in ([-10.0, 0.3, 2.0], [-5.0, -0.3], [-2.0, 2.0], [1e-200, -2.0],
+                 [-1e-200, 0.3]):
+        _check_terms_against_loop(m, n, lams, (0.01, 1.01, 10.0))
 
 
 def test_terms_keep_what_a_per_k_loop_keeps_at_large_q():
@@ -921,6 +933,52 @@ def test_alpha_one_reduces_to_exp_on_every_path(lam, step):
                        (solve_scalar_quad, 1e-15)):
         got = solve(lam, 1.0, ORDER_1, 0.0, grid).values
         assert np.max(np.abs(got - ref) / np.maximum(1.0, ref)) <= rel
+
+
+@pytest.mark.parametrize("quadrature", list(Quadrature))
+def test_alpha_one_exits_with_exp_and_no_term_table(quadrature, monkeypatch):
+    # At alpha = 1, r = lambda and H_{1,0} = exp: once the range is
+    # checked, _modes returns exp(lambda u) bit for bit, without _terms,
+    # on any increasing grid (the rectangle needs no lattice there).
+    def no_terms(*args):
+        raise AssertionError("_terms ran at alpha = 1")
+
+    monkeypatch.setattr("fraclode.solver._terms", no_terms)
+    t0 = 0.25
+    times = t0 + np.array([0.01, 0.02, 0.05, 0.3, 1.0, 1.7])
+    lams = np.array([-3.5, -0.2, 1e-200, 0.7, 2.0])
+    got_times, Y = _modes(lams, ORDER_1, t0, times, quadrature)
+    assert np.array_equal(got_times, times)
+    assert np.array_equal(Y, np.exp(np.outer(times - t0, lams)))
+    solve = solve_scalar_rect if quadrature is Quadrature.RECTANGLE else solve_scalar_quad
+    for lam in lams:
+        got = solve(lam, 1.0, ORDER_1, t0, times).values
+        assert np.array_equal(got, np.exp((times - t0) * lam))
+    # The range check still runs first: e^(lambda u) past floating range,
+    # and a rate past it, raise OverflowError_.
+    for lam, u in ((2.0, 400.0), (-1e300, 1e10)):
+        with pytest.raises(OverflowError_):
+            _modes([lam], ORDER_1, 0.0, [u], quadrature)
+        with pytest.raises(OverflowError_):
+            solve(lam, 1.0, ORDER_1, 0.0, [u])
+    assert np.isfinite(solve(-2.0, 1.0, ORDER_1, 0.0, [400.0]).values).all()
+
+
+@pytest.mark.parametrize("solve", [solve_scalar_rect, solve_scalar_quad, scalar_closed_form])
+@pytest.mark.parametrize("order", [ORDER_13, ORDER_37, approximate_order(199 / 203, tol=1e-12)])
+def test_long_grid_solve_allocates_at_most_two_megabytes(solve, order):
+    # K = 10^4 as in the long-grid case: the kernels, spectra and terms are
+    # formed one block at a time, so no per-solve transient spans every
+    # term (an all-terms power table at 199/203 peaked at 3.45 MB).
+    grid = 1e-4 * np.arange(1, 10_001)
+    tracemalloc.start()
+    try:
+        values = solve(-2.0, 1.0, order, 0.0, grid).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(values).all()
+    assert peak <= 2e6
 
 
 def test_matrix_zero_eigenvalue_rejected():
