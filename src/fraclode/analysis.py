@@ -4,13 +4,14 @@ spectrum-based stability verdicts, and the alpha-ladder convergence study.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NonUniformGridError
+from .errors import DomainError, NonUniformGridError, OverflowError_
 from .linalg import IMAG_TOL_SCALE, as_matrix, max_abs
 from .rational_order import approximate_order, DEFAULT_TOL
 from .solver import (
@@ -43,11 +44,17 @@ def gl_derivative(samples, alpha: float, h: float) -> np.ndarray:
 
     out[k] = h^(-alpha) * sum_{j=0..k} w_j * samples[k-j].  The lower
     terminal is the time of samples[0].  At alpha = 1 this is the first
-    backward difference.
+    backward difference.  A non-finite sample raises DomainError.  Where
+    h^(-alpha) itself passes floating range (a subnormal h, say), it is
+    applied as two factors h^(-alpha/2), so a result within range is
+    still returned.  A result past range raises OverflowError_, and so
+    does a factor h^(-alpha/2) past range.
     """
     if not 0.0 < h < np.inf:
         raise DomainError(f"h must be positive and finite, got {h}")
     f = np.asarray(samples, dtype=float)
+    if not np.isfinite(f).all():
+        raise DomainError("samples must be finite")
     squeeze = f.ndim == 1
     if squeeze:
         f = f[:, None]
@@ -58,7 +65,15 @@ def gl_derivative(samples, alpha: float, h: float) -> np.ndarray:
     out = np.empty_like(f)
     for j in range(f.shape[1]):
         out[:, j] = np.convolve(w, f[:, j])[:K]
-    out *= h ** (-alpha)
+    with np.errstate(over="ignore", invalid="ignore"):  # a result past range raises below
+        try:
+            out *= math.pow(h, -alpha)  # raises on overflow for numpy floats too
+        except OverflowError:  # h^(-alpha) alone passes range; the result may not
+            half = np.float64(h) ** (-0.5 * alpha)  # inf where it too passes range
+            out *= half
+            out *= half
+    if not np.isfinite(out).all():
+        raise OverflowError_(f"the GL difference at h = {h} passes floating range")
     return out[:, 0] if squeeze else out
 
 

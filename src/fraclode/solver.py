@@ -354,7 +354,7 @@ def _jacobi_integral(ru: np.ndarray, m: int, j: int, a: float,
         cur = np.empty(ru.shape)
         for i in range(0, len(ru), step):
             cur[i:i + step] = exp_section(ru[i:i + step, :, None] * (1.0 - s), m, j) @ w
-        if prev is not None and a * np.max(np.abs(cur - prev) / scale) <= SIMPSON_TOL:
+        if prev is not None and a * (np.abs(cur - prev) / scale).max() <= SIMPSON_TOL:
             return cur
         prev = cur
         n_nodes *= 2

@@ -185,18 +185,17 @@ def mittag_leffler(params: MLParams, z: float | np.ndarray) -> float | np.ndarra
     and ML_MAX_TERMS terms without a stop raise NonConvergenceError.  The
     first point that fails raises.
 
-    An array is summed a block of points at a time, with the same bits
-    as the one-point loop.  The largest |z| of a window of points is
-    summed alone first: its term magnitudes bound every other point's, so
-    its term count n covers the window and no term up to n overflows.  The
-    block is as much of the window as holds at most ML_BLOCK_ELEMENTS
-    terms.  Its terms are formed as one array, k log|z| - lg[k] (log|z|
-    from math.log) exponentiated by np.exp, as one point's are, so the
-    bits agree.  Array comparisons find each point's stop, and math.fsum
-    sums its terms up to it.  A point that does not stop within n terms
-    is summed alone, and so is every point of a window whose largest |z|
-    fails, its sum included: that window raises at its first failing
-    point, as the loop does, without summing the points past it.
+    One former, _ml_magnitudes, forms every term, k log|z| - lg[k]
+    (log|z| from math.log) exponentiated by np.exp, and finds every stop.
+    An array is summed a block of points at a time.  The largest |z| of a
+    window of points is summed alone first: its term magnitudes bound
+    every other point's, so its term count n covers the window and no
+    term up to n overflows.  The block is as much of the window as holds
+    at most ML_BLOCK_ELEMENTS terms, and math.fsum sums each point's terms
+    up to its stop.  A point that does not stop within n terms is summed
+    alone, and so is every point of a window whose largest |z| fails, its
+    sum included: that window raises at its first failing point without
+    summing the points past it.
 
     The sum is exact, so the error is the terms' own rounding, about
     2^-52 sum_k |t_k|; each np.exp term is within 1 ulp of math.exp's.
@@ -262,31 +261,23 @@ def _ml_span(params: MLParams, window: np.ndarray, table: tuple) -> tuple[int, i
 
 def _ml_block(params: MLParams, block: np.ndarray, n: int, table: tuple) -> list[float]:
     """The values of a block whose points' terms are bounded by a series
-    that stops within n terms."""
-    lg, pos, neg = (np.array(column[:n]) for column in table)
+    that stops within n terms, their terms and stops from _ml_magnitudes."""
     zl = block.tolist()
     abs_z = np.abs(block)
     abs_z[abs_z == 0.0] = 1.0  # a zero is summed alone below, its row unread
-    log_z = np.array(list(map(math.log, abs_z.tolist())))
-    mag = np.multiply.outer(log_z, np.arange(n))  # k log|z|, as k * log_z rounds
-    mag -= lg
     # Only a zero's row can overflow: the series _ml_span summed bounds the rest.
-    with np.errstate(over="ignore"):
-        np.exp(mag, out=mag)
-    # The first k > 0 off a pole with |t_k| <= ML_TAIL_TOL and |t_k| <= |t_{k-1}|.
-    stops = (mag[:, 1:] <= ML_TAIL_TOL) & (mag[:, 1:] <= mag[:, :-1]) & (lg[1:] != math.inf)
-    ends = (stops.argmax(axis=1) + 2).tolist()
-    stopped = stops.any(axis=1).tolist()
+    mag, ends = _ml_magnitudes(params, np.array(list(map(math.log, abs_z.tolist()))), n, table)
     # The rounding bound from the row's whole magnitude sum, past its stop
     # too, is at least the exact one to within n ulps: a row below half
     # the check's limit passes it, and only the others take an exact fsum.
     # The largest |z|, whose sum _ml_span checked, bounds these sums.
     rough = (mag.sum(axis=1) * 2.0 ** -52).tolist()
     # Sign the terms in place; the magnitudes are not needed past here.
+    pos, neg = (np.array(column[:n]) for column in table[1:])
     mag *= np.where(block[:, None] < 0.0, neg, pos)
     values = []
-    for zi, row, end, done, bound in zip(zl, mag, ends, stopped, rough):
-        if not (zi and done):  # z = 0, or no stop within n terms
+    for zi, row, end, bound in zip(zl, mag, ends, rough):
+        if not (zi and end):  # z = 0, or no stop within n terms
             values.append(_ml_point(params, zi, table))
             continue
         terms = row[:end].tolist()
@@ -295,6 +286,28 @@ def _ml_block(params: MLParams, block: np.ndarray, n: int, table: tuple) -> list
             result = _ml_sum(params, zi, terms)
         values.append(result)
     return values
+
+
+def _ml_magnitudes(params: MLParams, log_z: np.ndarray, n: int, table: tuple) -> tuple:
+    """(mag, ends) for the points whose log|z| are log_z, the table grown
+    to n entries: mag[i, k] = |t_k| = exp(k log_z[i] - lg[k]) for k < n,
+    inf where a term overflows, and ends[i] the count of terms up to and
+    including row i's stop, 0 where it does not stop within n terms.  A
+    row stops at the first k > 0 off a pole with |t_k| <= ML_TAIL_TOL and
+    |t_k| <= |t_{k-1}|: terms decay super-geometrically once alpha k +
+    beta outgrows |z|, and two consecutive small, shrinking terms bound
+    the tail.  A pole's zero term bounds nothing."""
+    while len(table[0]) < n:
+        _grow(params, table)
+    lg = np.array(table[0][:n])
+    mag = np.multiply.outer(log_z, np.arange(n))  # k log|z|, as k * log_z rounds
+    mag -= lg
+    with np.errstate(over="ignore"):  # an overflow raises where a series reaches it
+        np.exp(mag, out=mag)
+    stops = np.zeros(mag.shape, dtype=bool)
+    stops[:, 1:] = (mag[:, 1:] <= ML_TAIL_TOL) & (mag[:, 1:] <= mag[:, :-1]) & (lg[1:] != math.inf)
+    ends = np.where(stops.any(axis=1), stops.argmax(axis=1) + 1, 0)
+    return mag, ends.tolist()
 
 
 #: log|Gamma| tabled where Gamma overflows or underflows to 0 off a pole:
@@ -362,10 +375,9 @@ def _ml_sum(params: MLParams, z: float, terms: list[float]) -> float:
 def _ml_terms(params: MLParams, z: float, table: tuple) -> list[float] | None:
     """The series' terms up to and including the first that stops it, or
     None if ML_MAX_TERMS is reached first; grows table as needed.  The
-    terms are formed as _ml_block forms them, with the same bits, over the
-    chunks k in [0, 64), [64, 128), [128, 256), ... of the table."""
-    lg, pos, neg = table
-    lo = 0
+    magnitudes come from _ml_magnitudes on the one point, over its first
+    64, 128, 256, ... terms, until the first stop or the first overflow."""
+    k = 0  # the term that overflows
     try:
         if z == 0.0:  # 1/Gamma(beta), then a zero term that stops the series
             g = params.beta
@@ -373,34 +385,21 @@ def _ml_terms(params: MLParams, z: float, table: tuple) -> list[float] | None:
             if denom == 0.0 or math.isinf(1.0 / denom):  # 1/Gamma out of range
                 raise OverflowError
             return [1.0 / denom, 0.0] if ML_MAX_TERMS > 1 else None
-        log_z = math.log(abs(z))
-        sign = neg if z < 0.0 else pos
-        terms: list[float] = []
-        prev = -1.0  # below every magnitude: k = 0 does not stop the series
-        with np.errstate(over="ignore"):  # an overflow raises below if it is reached
-            while lo < ML_MAX_TERMS:
-                hi = min(max(64, 2 * lo), ML_MAX_TERMS)
-                if hi > len(lg):
-                    _grow(params, table)
-                chunk = np.array(lg[lo:hi])
-                mag = np.exp(np.arange(lo, hi) * log_z - chunk)
-                # Terms decay super-geometrically once alpha*k+beta outgrows
-                # |z|; requiring two consecutive small, shrinking terms
-                # bounds the tail.  A pole's zero term bounds nothing.
-                stops = (mag <= ML_TAIL_TOL) & (mag <= np.append(prev, mag[:-1]))
-                stops &= chunk != math.inf
-                hit = stops | (mag == math.inf)
-                end = int(hit.argmax()) + 1 if hit.any() else hi - lo
-                if mag[end - 1] == math.inf:
-                    lo += end - 1
-                    raise OverflowError
-                terms += (mag[:end] * sign[lo:lo + end]).tolist()
-                if stops[end - 1]:
-                    return terms
-                prev, lo = mag[-1], hi
+        log_z = np.array([math.log(abs(z))])
+        n = 0
+        while n < ML_MAX_TERMS:
+            n = min(max(64, 2 * n), ML_MAX_TERMS)
+            mag, (end,) = _ml_magnitudes(params, log_z, n, table)
+            mag = mag[0, :end or n]
+            over = mag == math.inf
+            if over.any():
+                k = int(over.argmax())
+                raise OverflowError
+            if end:
+                return (mag * (table[2] if z < 0.0 else table[1])[:end]).tolist()
     except OverflowError as exc:
         raise NonConvergenceError(
-            f"series term k={lo} for E_({params.alpha},{params.beta})({z}) "
+            f"series term k={k} for E_({params.alpha},{params.beta})({z}) "
             f"overflowed double range"
         ) from exc
     return None

@@ -3,6 +3,7 @@ metric, the stability verdict, and the alpha-ladder study."""
 
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fraclode import (
     DomainError,
     MLParams,
     NonUniformGridError,
+    OverflowError_,
     Quadrature,
     Trajectory,
     Verdict,
@@ -101,6 +103,27 @@ def test_gl_derivative_validation():
         gl_derivative([1.0, 2.0], 0.5, 0.0)
     with pytest.raises(DomainError):
         gl_derivative([1.0], 0.5, 0.1)
+
+
+def test_gl_derivative_at_a_subnormal_step():
+    # h^(-0.998) at h = 5e-324 is past floating range, where Python's pow
+    # raises OverflowError; the difference of tiny samples is not.  A numpy
+    # float h, whose power gives inf rather than raising, behaves the same.
+    alpha = 0.998
+    for h in (5e-324, np.float64(5e-324)):
+        d = gl_derivative([0.0, 1e-317, 2e-317], alpha, h)
+        assert np.isfinite(d).all() and d[0] == 0.0
+        assert d[1] == pytest.approx(math.exp(math.log(1e-317) - alpha * math.log(h)), rel=1e-12)
+        with pytest.raises(OverflowError_, match="passes floating range"):
+            gl_derivative([0.0, 1.0, 2.0], alpha, h)
+
+
+def test_gl_derivative_past_floating_range_raises_without_a_warning():
+    # 1.5e308 * 0.1^-0.5 overflows: an error, not a RuntimeWarning and inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError_, match="passes floating range"):
+            gl_derivative([0.0, 1e308, -1e308], 0.5, 0.1)
 
 
 # ---------------------------------------------------------------- residual

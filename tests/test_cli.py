@@ -265,6 +265,22 @@ def test_table_far_from_zero(tmp_path):
     assert np.isfinite(read_csv(out)[1]).all()
 
 
+@pytest.mark.parametrize("method", ["simpson", "rectangle"])
+def test_table_at_a_subnormal_step(tmp_path, method):
+    # h^(-alpha) at h = 5e-324 is past floating range; the residual
+    # applies it as two factors and the row is written, not a traceback.
+    # (An interval to 1e-318 fails the same way, on 2e5 points.)
+    payload = {"a": -2, "alphas": [0.998], "interval": [0, 1e-321], "h": 5e-324,
+               "method": method}
+    spec = write_spec(tmp_path, "case.json", payload)
+    out = tmp_path / "t.csv"
+    result = run_cli("table", "--config", spec, "--out", str(out))
+    assert result.returncode == 0 and "Traceback" not in result.stderr, result.stderr
+    header, rows = read_csv(out)
+    assert header == ["alpha", "sup_dev", "nev"] and rows.shape == (1, 3)
+    assert np.isfinite(rows).all()
+
+
 def test_table_grid_over_point_limit_is_schema_error(tmp_path, capsys):
     from fraclode.cli import main
 

@@ -156,6 +156,7 @@ NON_FINITE_CASES = dict([
     ("convergence_study.order_tol", lambda v: _study(order_tol=v)),
     ("gl_derivative.alpha", lambda v: fl.gl_derivative(np.ones(4), v, 0.1)),
     ("gl_derivative.h", lambda v: fl.gl_derivative(np.ones(4), 0.5, v)),
+    ("gl_derivative.samples", lambda v: fl.gl_derivative([0.0, v, 1.0], 0.5, 0.1)),
     ("MLParams.alpha", lambda v: fl.mittag_leffler(fl.MLParams(alpha=v), 0.5)),
     ("MLParams.beta", lambda v: fl.mittag_leffler(fl.MLParams(alpha=0.5, beta=v), 0.5)),
     ("mittag_leffler.z", lambda v: fl.mittag_leffler(fl.MLParams(alpha=0.5), v)),

@@ -19,7 +19,7 @@ from fraclode import (
 )
 from fraclode import specfun
 from fraclode.specfun import SECTION_TOL, exp_section
-from ml_reference import per_point_ml, per_point_outcome
+from ml_reference import per_point_ml, per_point_outcome, series_term
 
 FIXTURE = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "closed_form_reference.json").read_text()
@@ -458,6 +458,47 @@ def test_ml_budget_at_the_stop_index_matches_reference(monkeypatch):
         monkeypatch.setattr(specfun, "ML_MAX_TERMS", max_terms)
         got = _matches_reference(params, [0.1, -2.0])
         assert isinstance(got, np.ndarray) == (max_terms >= n)
+
+
+#: (alpha, z, n): the series for E_alpha(z) stops at its n-th term, z
+#: in the middle of the interval of z that stop there.
+STOPS_NEAR_BUDGETS = [
+    (0.5, 1.9616, 64), (0.5, 1.9949, 65), (0.5, 2.0276, 66),
+    (0.5, 2.9889, 99), (0.5, 3.0149, 100), (0.5, 3.0409, 101),
+    (0.5, 3.6915, 128), (0.5, 3.7137, 129), (0.5, 3.736, 130),
+    (1 / 3, 4.8024, 999), (1 / 3, 4.8042, 1000), (1 / 3, 4.8059, 1001),
+]
+
+
+@pytest.mark.parametrize("max_terms", [65, 100, 129, 1000])
+def test_ml_budgets_between_the_doublings_match_reference(monkeypatch, max_terms):
+    # One point's terms are formed 64, 128, 256, ... at a time, up to the
+    # budget; these budgets cut between those counts.  A series that stops
+    # one term before the budget, at it or one past it (for z and -z, whose
+    # magnitudes agree) has the reference loop's terms, values and errors.
+    cases = [(a, z, n) for a, z, n in STOPS_NEAR_BUDGETS if abs(n - max_terms) <= 1]
+    assert [n for _, _, n in cases] == [max_terms - 1, max_terms, max_terms + 1]
+    for alpha, z, n in cases:
+        assert len(specfun._ml_terms(MLParams(alpha), z, ([], [], []))) == n
+    monkeypatch.setattr(specfun, "ML_MAX_TERMS", max_terms)
+    for alpha, z, n in cases:
+        params = MLParams(alpha)
+        for zi in (z, -z):
+            terms = specfun._ml_terms(params, zi, ([], [], []))
+            expected = [series_term(zi, k, alpha * k + 1.0) for k in range(n)]
+            assert terms == (expected if n <= max_terms else None)
+            ref = per_point_outcome(params, [zi])
+            assert _array_outcome(params, zi) == (ref if isinstance(ref, tuple) else ref[0])
+        if n > max_terms:  # the budget is reached with no stop
+            assert ref == (NonConvergenceError,
+                           f"series for E_({alpha},1.0)({-z}) did not reach "
+                           f"tail_tol=1e-16 within {max_terms} terms")
+    # One array: the points that stop within the budget return values, and
+    # the one past it raises the reference's error.
+    zs = [z for _, z, _ in cases]
+    params = MLParams(cases[0][0])
+    assert isinstance(_matches_reference(params, zs[:2] + [0.5, -1.0]), np.ndarray)
+    assert _matches_reference(params, zs + [0.5])[0] is NonConvergenceError
 
 
 def test_ml_overflowing_term_matches_reference():
