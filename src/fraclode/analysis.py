@@ -30,13 +30,19 @@ def gl_weights(alpha: float, count: int) -> np.ndarray:
     """First `count` Grunwald-Letnikov weights: w_0 = 1,
     w_j = w_{j-1} * (j - 1 - alpha)/j, one cumulative product (the factor
     equals 1 - (alpha+1)/j, rearranged so w_1 = -alpha holds exactly in
-    floating point).  count must be an integer >= 1."""
+    floating point).  count must be an integer >= 1.  A weight past
+    floating range (alpha = 1e300, say) raises OverflowError_."""
     if not np.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha}")
     if not isinstance(count, numbers.Integral) or count < 1:
         raise DomainError(f"count must be an integer >= 1, got {count!r}")
     j = np.arange(1.0, count)
-    return np.cumprod(np.concatenate(([1.0], (j - 1.0 - alpha) / j)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a weight past range raises below
+        w = np.cumprod(np.concatenate(([1.0], (j - 1.0 - alpha) / j)))
+    if not np.isfinite(w).all():
+        raise OverflowError_(f"Grunwald-Letnikov weights at alpha = {alpha} pass floating "
+                             f"range within {count} terms")
+    return w
 
 
 def gl_derivative(samples, alpha: float, h: float) -> np.ndarray:
@@ -48,7 +54,7 @@ def gl_derivative(samples, alpha: float, h: float) -> np.ndarray:
     h^(-alpha) itself passes floating range (a subnormal h, say), it is
     applied as two factors h^(-alpha/2), so a result within range is
     still returned.  A result past range raises OverflowError_, and so
-    does a factor h^(-alpha/2) past range.
+    do a factor h^(-alpha/2) and a weight (`gl_weights`) past range.
     """
     if not 0.0 < h < np.inf:
         raise DomainError(f"h must be positive and finite, got {h}")

@@ -47,8 +47,9 @@ class OrderDomainError(FraclodeError):
 
 
 class QuadratureFailureError(FraclodeError):
-    """Quadrature did not reach its tolerance within its refinement bound
-    (adaptive Simpson depth, or the Gauss–Jacobi node cap)."""
+    """Quadrature did not reach its tolerance: the Gauss–Jacobi rules did
+    not settle within their node cap, the Simpson backend's rounding floor
+    exceeds SIMPSON_TOL, or adaptive_simpson passed its depth bound."""
 
 
 class NonUniformGridError(FraclodeError):

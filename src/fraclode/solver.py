@@ -16,39 +16,15 @@ x(t0) = x0.  A term whose bound |c_k| (n/k) u^(k/n) X^j e^X / j!
 (X = |r| u_max) is below TERM_TOL * e^X is dropped; near alpha = 1 this
 keeps a few dozen of the n - 1 terms.
 
-One evaluator, `_modes`, computes E_alpha(lambda_i u^alpha) from this
-formula for all eigenvalues lambda_i at once: the scalar solvers pass
-one eigenvalue, and `solve_matrix` passes the spectrum of A and
-recomposes with its eigenvectors.  `_terms` gives the kept terms as
-arrays: a = k/n, j = j_k and coef[term, i].  Two numerical backends
-evaluate the integrals (see `_modes`): the rectangle rule, the literal
-left-endpoint Riemann sum on a uniform grid, kept as formulated so the
-scheme itself is testable, slow O(h^(1/n)) convergence and all, with the
-sections j sampled by stacked exp_section calls and convolved by FFT;
-and "simpson" (the name of an earlier adaptive Simpson rule, kept for
-the API and the CLI), Gauss–Jacobi rules of 16, 32, ..., 256 nodes,
-applied until two successive ones agree to SIMPSON_TOL.  `SolveConfig`
-parses its backend by `Quadrature(v)`, which takes a member or its
-value, and its SIMPSON is every caller's default.
+`_modes` evaluates E_alpha(lambda_i u^alpha) for all eigenvalues at once
+after the checks both backends share; the evaluator of each backend holds
+its derivation and its own check before any grid work:
 
-For q = 0 (alpha = 1) every backend degenerates to the classical matrix
-exponential.  `scalar_closed_form` is the oracle: the Mittag-Leffler
-series of y0 E_alpha(lambda u^alpha), checked against 50-digit mpmath
-values in tests/fixtures/closed_form_reference.json.  Where that series
-cancels (z = lambda u^alpha below about -2.25 at alpha = 1/3) it raises
-NonConvergenceError rather than return a wrong value.
-
-For lambda < 0 and p > 0 the sections grow like e^(|r| u cos(pi/m)) while
-the solution decays, so the attainable absolute accuracy is about
-2^-52 e^(|r| u).  Before any grid work a solve raises OverflowError_
-where e^(|r| u) / alpha passes floating range and the solution (r > 0)
-or the sections (m > 1) reach it, and the Simpson backend compares the
-rounding floor, relative to the scale e^(|r| u cos(pi/m)), with
-SIMPSON_TOL and raises QuadratureFailureError when it is larger
-(lambda = -5 at alpha = 3/7, |r| u = 43; on t <= 1.01, every
-lambda < -4.026).  Zero eigenvalues raise ZeroEigenvalueError.  Every
-grid must be nonempty, finite and strictly increasing (`_check_grid`),
-and a solve's grid must start strictly after t0 (`_check_times`).
+- rectangle, `_rect_modes`: the left-endpoint Riemann sum on the lattice
+  t0 + k h, convolved by FFT; `_rect_lattice` refuses a grid off the
+  lattice or a lattice past MAX_LATTICE_SIZE.
+- simpson, `_simpson_modes`: Gauss–Jacobi rules per integral; it refuses
+  a solve whose rounding floor exceeds SIMPSON_TOL.
 """
 
 from __future__ import annotations
@@ -90,7 +66,8 @@ MAX_GRID_POINTS = 10 ** 6
 GJ_MIN_NODES = 16
 GJ_MAX_NODES = 256
 #: Most elements of one exp_section call: (time, eigenvalue, node) triples
-#: of the Simpson backend, (section, node, eigenvalue) ones of the rectangle.
+#: in _simpson_modes' _jacobi_integral, (section, node, eigenvalue) ones in
+#: _rect_modes.
 SECTION_BLOCK_ELEMENTS = 2 ** 13
 #: classical_exponential passes expm blocks of at most this many entries,
 #: which bounds its Pade temporaries (about ten arrays of the block's size).
@@ -364,20 +341,6 @@ def _jacobi_integral(ru: np.ndarray, m: int, j: int, a: float,
     )
 
 
-def _check_rounding_floor(x: float, m: int, growth: float) -> None:
-    """Raise QuadratureFailureError when no rule can meet SIMPSON_TOL at X = x.
-
-    For r < 0 and m > 1 the sections reach e^X, X = |r| u, while their
-    bound, the scale of SIMPSON_TOL, is e^(growth X): summing them leaves
-    a rounding floor of 2^-52 e^((1 - growth) X) relative to that scale.
-    """
-    if (1.0 - growth) * x - 52.0 * math.log(2.0) > math.log(SIMPSON_TOL):
-        raise QuadratureFailureError(
-            f"the sections' rounding floor 2^-52 e^({(1.0 - growth) * x:.3g}) exceeds "
-            f"SIMPSON_TOL = {SIMPSON_TOL:g} (section order {m}, |r| u = {x:.3g})"
-        )
-
-
 def _check_range(lams: np.ndarray, order: FractionalOrder, u_max: float) -> None:
     """Raise OverflowError_ where r = lambda^(n/m) or X = |r| u_max passes
     floating range, or e^X / alpha does and the solution (r > 0) or the
@@ -397,32 +360,10 @@ def _modes(lams, order: FractionalOrder, t0: float, times,
     """Checked times and Y[k, i] = E_alpha(lambda_i u_k^alpha), u = t - t0,
     for every eigenvalue at once.
 
-    Rectangle: on the lattice u = k h each integral becomes
-    h * sum_{sigma=0}^{k-1} ((k - sigma) h)^(a-1) H_{m,j}(r sigma h).
-    The terms of one section j convolve the same samples, so their
-    kernels are summed, sum_i c_i (d h)^(a_i - 1).  The sections are
-    sampled by stacked exp_section calls of at most SECTION_BLOCK_ELEMENTS
-    elements.  Each block raises d h to its own terms' a - 1 only: the
-    kernel of a one-term section is its power times its coefficients,
-    all of the block's in one multiply, and a section of several terms
-    sums them by a matmul.  Each block takes one real FFT of its samples
-    and one of its kernels, and adds its spectra, in order of j, in one
-    pass before the one inverse transform.
-
-    Simpson: the substitution d = u s moves the weak singularity into
-    the weight,
-
-        int_0^u d^(a-1) H_{m,j}(r (u-d)) dd
-            = u^a * int_0^1 s^(a-1) H_{m,j}(r u (1 - s)) ds,
-
-    and what is left is entire in s, so Gauss–Jacobi rules for the
-    weight s^(a-1) converge spectrally.  Along the path from r u to 0,
-    |H_{m,j}| <= e^(growth |r| u) with growth = 1 for r > 0 and
-    max(0, cos(pi/m)) for r < 0; integrals are divided by that bound,
-    which makes SIMPSON_TOL relative to their scale (see _jacobi_integral).
-
-    For q = 0 there are no integrals: once the range is checked, Y is
-    exp(lambda u), with no term table and no grid work.
+    The grid, the eigenvalues and the range are checked first.  For q = 0
+    there are no integrals: Y is exp(lambda u), with no term table and no
+    grid work.  Otherwise the kept terms, with the bound e^(rate u) of
+    every section, go to the backend's evaluator.
     """
     times = _check_times(times, t0)
     lams = np.asarray(lams, dtype=float)
@@ -436,54 +377,110 @@ def _modes(lams, order: FractionalOrder, t0: float, times,
         return times, np.exp(np.outer(u, lams))
     m, r, a, j, coef = _terms(lams, order, float(u[-1]))
     growth = max(0.0, math.cos(math.pi / m))  # of H_{m,j}(r u) for r < 0
-    if quadrature is Quadrature.SIMPSON and m > 1 and np.any(r < 0.0):
-        _check_rounding_floor(float(np.max(-r[r < 0.0])) * float(u[-1]), m, growth)
-    ru = np.outer(u, r)
-    Y = exp_section(ru, m, 0)
     # |H_{m,j}(r u)| <= e^(rate u) for u >= 0
     rate = np.abs(r) * np.where(r > 0.0, 1.0, growth)
     if quadrature is Quadrature.SIMPSON:
-        scale = np.exp(np.outer(u, rate))
-        for a_k, j_k, c in zip(a.tolist(), j.tolist(), coef):
-            integral = _jacobi_integral(ru, m, j_k, a_k, scale)
-            Y += c * u[:, None] ** a_k * integral
-    else:  # RECTANGLE, the other member
-        h, k_idx = _rect_lattice(times, t0, len(lams))
-        k_max = int(k_idx[-1])
-        size = _fft_size(2 * k_max - 1)  # no wrap-around in the first k_max
-        nodes = np.outer(h * np.arange(k_max), r)  # r (t_sigma - t0)
-        dist = h * np.arange(1, k_max + 1)[:, None]
-        # Samples and kernel are damped by e^(-rate sigma h), which damps
-        # the sum at k by e^(-rate k h): the FFT's rounding, relative to
-        # the largest damped sum, then stays relative to each x(t_k).
-        damp = np.exp(-np.outer(h * np.arange(k_max + 1), rate))  # sigma = 0..k_max
-        spectrum = np.zeros((size // 2 + 1, len(lams)), dtype=complex)
-        members: dict[int, list[int]] = {}  # the terms of each section j, in order
-        for t, j_t in enumerate(j.tolist()):
-            members.setdefault(j_t, []).append(t)
-        sections = sorted(members)
-        step = max(1, SECTION_BLOCK_ELEMENTS // max(1, nodes.size))
-        for start in range(0, len(sections), step):
-            block = sections[start:start + step]
-            samples = exp_section(nodes, m, block)
-            samples *= damp[:-1]
-            # kernel[d-1, i] = sum over the section of c_i (d h)^(a-1), d = 1..k_max
-            kernels = np.empty(samples.shape)
-            lone = [g for g, j_g in enumerate(block) if len(members[j_g]) == 1]
-            if lone:  # c (d h)^(a-1) of every one-term section, in one multiply
-                t = [members[block[g]][0] for g in lone]
-                kernels[lone] = (dist ** (a[t] - 1.0)).T[:, :, None] * coef[t, None]
-            for g, j_g in enumerate(block):
-                idx = members[j_g]
-                if len(idx) > 1:  # its terms summed by a matmul
-                    kernels[g] = dist ** (a[idx] - 1.0) @ coef[idx]
-            kernels *= damp[1:]
-            for product in np.fft.rfft(samples, size, axis=1) * np.fft.rfft(kernels, size, axis=1):
-                spectrum += product  # in the order of j
-        # full[k-1] = sum_{sigma=0}^{k-1} kernel[k-1-sigma] H(r sigma h)
-        full = np.fft.irfft(spectrum, size, axis=0)[:k_max]
-        Y += h * full[k_idx - 1] * np.exp(np.outer(h * k_idx, rate))
-    return times, Y
+        return times, _simpson_modes(u, m, r, a, j, coef, growth, rate)
+    return times, _rect_modes(times, t0, m, r, a, j, coef, rate)  # RECTANGLE
+
+
+def _simpson_modes(u: np.ndarray, m: int, r: np.ndarray, a: np.ndarray, j: np.ndarray,
+                   coef: np.ndarray, growth: float, rate: np.ndarray) -> np.ndarray:
+    """Y[k, i] = E_alpha(lambda_i u_k^alpha) with each integral by
+    Gauss–Jacobi rules ("simpson" is the name of an earlier adaptive
+    Simpson rule, kept for the API and the CLI).
+
+    The substitution d = u s moves the weak singularity into the weight,
+
+        int_0^u d^(a-1) H_{m,j}(r (u-d)) dd
+            = u^a * int_0^1 s^(a-1) H_{m,j}(r u (1 - s)) ds,
+
+    and what is left is entire in s, so Gauss–Jacobi rules for the
+    weight s^(a-1) converge spectrally.  Along the path from r u to 0,
+    |H_{m,j}| <= e^(growth |r| u) with growth = 1 for r > 0 and
+    max(0, cos(pi/m)) for r < 0; integrals are divided by that bound,
+    which makes SIMPSON_TOL relative to their scale (see _jacobi_integral).
+
+    For r < 0 and m > 1 the sections reach e^X, X = |r| u, while
+    their bound is e^(growth X): summing them leaves a rounding floor of
+    2^-52 e^((1 - growth) X) relative to that scale.  Where the floor at
+    the largest X exceeds SIMPSON_TOL no rule can meet it, and the solve
+    raises QuadratureFailureError before any grid work (lambda = -5 at
+    alpha = 3/7, |r| u = 43; on t <= 1.01, every lambda < -4.026).
+    """
+    if m > 1 and np.any(r < 0.0):
+        x = float(np.max(-r[r < 0.0])) * float(u[-1])
+        if (1.0 - growth) * x - 52.0 * math.log(2.0) > math.log(SIMPSON_TOL):
+            raise QuadratureFailureError(
+                f"the sections' rounding floor 2^-52 e^({(1.0 - growth) * x:.3g}) exceeds "
+                f"SIMPSON_TOL = {SIMPSON_TOL:g} (section order {m}, |r| u = {x:.3g})"
+            )
+    ru = np.outer(u, r)
+    Y = exp_section(ru, m, 0)
+    scale = np.exp(np.outer(u, rate))
+    for a_k, j_k, c in zip(a.tolist(), j.tolist(), coef):
+        integral = _jacobi_integral(ru, m, j_k, a_k, scale)
+        Y += c * u[:, None] ** a_k * integral
+    return Y
+
+
+def _rect_modes(times: np.ndarray, t0: float, m: int, r: np.ndarray, a: np.ndarray,
+                j: np.ndarray, coef: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """Y[k, i] = E_alpha(lambda_i u_k^alpha) by the rectangle rule, the
+    literal left-endpoint Riemann sum, kept as formulated so the scheme
+    itself is testable, slow O(h^(1/n)) convergence and all.
+
+    `_rect_lattice` runs first, so a grid off the lattice t0 + k h, or a
+    lattice past MAX_LATTICE_SIZE, is refused before any grid work.  On
+    the lattice u = k h each integral becomes
+    h * sum_{sigma=0}^{k-1} ((k - sigma) h)^(a-1) H_{m,j}(r sigma h).
+    The terms of one section j convolve the same samples, so their
+    kernels are summed, sum_i c_i (d h)^(a_i - 1).  The sections are
+    sampled by stacked exp_section calls of at most SECTION_BLOCK_ELEMENTS
+    elements.  Each block raises d h to its own terms' a - 1 only: the
+    kernel of a one-term section is its power times its coefficients,
+    all of the block's in one multiply, and a section of several terms
+    sums them by a matmul.  Each block takes one real FFT of its samples
+    and one of its kernels, and adds its spectra, in order of j, in one
+    pass before the one inverse transform.
+    """
+    h, k_idx = _rect_lattice(times, t0, len(r))
+    Y = exp_section(np.outer(times - t0, r), m, 0)
+    k_max = int(k_idx[-1])
+    size = _fft_size(2 * k_max - 1)  # no wrap-around in the first k_max
+    nodes = np.outer(h * np.arange(k_max), r)  # r (t_sigma - t0)
+    dist = h * np.arange(1, k_max + 1)[:, None]
+    # Samples and kernel are damped by e^(-rate sigma h), which damps
+    # the sum at k by e^(-rate k h): the FFT's rounding, relative to
+    # the largest damped sum, then stays relative to each x(t_k).
+    damp = np.exp(-np.outer(h * np.arange(k_max + 1), rate))  # sigma = 0..k_max
+    spectrum = np.zeros((size // 2 + 1, len(r)), dtype=complex)
+    members: dict[int, list[int]] = {}  # the terms of each section j, in order
+    for t, j_t in enumerate(j.tolist()):
+        members.setdefault(j_t, []).append(t)
+    sections = sorted(members)
+    step = max(1, SECTION_BLOCK_ELEMENTS // max(1, nodes.size))
+    for start in range(0, len(sections), step):
+        block = sections[start:start + step]
+        samples = exp_section(nodes, m, block)
+        samples *= damp[:-1]
+        # kernel[d-1, i] = sum over the section of c_i (d h)^(a-1), d = 1..k_max
+        kernels = np.empty(samples.shape)
+        lone = [g for g, j_g in enumerate(block) if len(members[j_g]) == 1]
+        if lone:  # c (d h)^(a-1) of every one-term section, in one multiply
+            t = [members[block[g]][0] for g in lone]
+            kernels[lone] = (dist ** (a[t] - 1.0)).T[:, :, None] * coef[t, None]
+        for g, j_g in enumerate(block):
+            idx = members[j_g]
+            if len(idx) > 1:  # its terms summed by a matmul
+                kernels[g] = dist ** (a[idx] - 1.0) @ coef[idx]
+        kernels *= damp[1:]
+        for product in np.fft.rfft(samples, size, axis=1) * np.fft.rfft(kernels, size, axis=1):
+            spectrum += product  # in the order of j
+    # full[k-1] = sum_{sigma=0}^{k-1} kernel[k-1-sigma] H(r sigma h)
+    full = np.fft.irfft(spectrum, size, axis=0)[:k_max]
+    Y += h * full[k_idx - 1] * np.exp(np.outer(h * k_idx, rate))
+    return Y
 
 
 def _solve_scalar(lam: float, y0: float, order: FractionalOrder, t0: float, times,
@@ -496,13 +493,13 @@ def _solve_scalar(lam: float, y0: float, order: FractionalOrder, t0: float, time
 
 def solve_scalar_rect(lam: float, y0: float, order: FractionalOrder, t0: float,
                       grid) -> Trajectory:
-    """Left-endpoint rectangle discretization of the scalar solution (see _modes)."""
+    """Left-endpoint rectangle discretization of the scalar solution (see _rect_modes)."""
     return _solve_scalar(lam, y0, order, t0, grid, Quadrature.RECTANGLE)
 
 
 def solve_scalar_quad(lam: float, y0: float, order: FractionalOrder, t0: float,
                       times) -> Trajectory:
-    """Scalar solution with each integral by Gauss–Jacobi quadrature (see _modes)."""
+    """Scalar solution with each integral by Gauss–Jacobi quadrature (see _simpson_modes)."""
     return _solve_scalar(lam, y0, order, t0, times, Quadrature.SIMPSON)
 
 

@@ -126,6 +126,20 @@ def test_gl_derivative_past_floating_range_raises_without_a_warning():
             gl_derivative([0.0, 1e308, -1e308], 0.5, 0.1)
 
 
+@pytest.mark.parametrize("alpha", [1e300, -1e300])
+def test_gl_weights_past_floating_range_raise_without_a_warning(alpha):
+    # w_2 = alpha (alpha - 1) / 2 passes floating range: np.cumprod warned
+    # "overflow encountered in accumulate" and returned inf weights, and
+    # gl_derivative warned the same way before its own range check.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError_, match="weights .* pass floating range"):
+            gl_weights(alpha, 5)
+        with pytest.raises(OverflowError_, match="weights .* pass floating range"):
+            gl_derivative([0.0, 1.0, 2.0], alpha, 0.1)
+        assert np.isfinite(gl_weights(alpha, 2)).all()  # w_1 = -alpha is in range
+
+
 # ---------------------------------------------------------------- residual
 
 

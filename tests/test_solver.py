@@ -492,6 +492,24 @@ def test_quad_rounding_floor_check_at_three_sevenths(monkeypatch):
         solve_matrix(problem, SolveConfig(grid=grid, quadrature=Quadrature.SIMPSON))
 
 
+def test_rect_lattice_check_runs_before_grid_work(monkeypatch):
+    # The rectangle backend refuses a grid off the lattice t0 + k h, and a
+    # lattice of 10^7 nodes past MAX_LATTICE_SIZE, before any exp_section
+    # call: one over the grid once came first.
+    def no_grid_work(*args):
+        raise AssertionError("exp_section ran before the lattice check")
+
+    monkeypatch.setattr("fraclode.solver.exp_section", no_grid_work)
+    problem = CauchyProblem(A=[[-2.0, 1.0], [0.0, -1.0]], x0=[1.0, 0.5], t0=0.0,
+                            order=ORDER_37)
+    for grid, error in (([0.1, 0.25, 0.31], NonUniformGridError),
+                        ([1e-7, 2e-7, 1.0], DomainError)):
+        with pytest.raises(error):
+            solve_scalar_rect(-2.0, 1.0, ORDER_37, 0.0, grid)
+        with pytest.raises(error):
+            solve_matrix(problem, SolveConfig(grid=grid, quadrature=Quadrature.RECTANGLE))
+
+
 def test_quad_rounding_floor_spares_first_section_and_rectangle():
     # m = 1 (alpha = 1/3): H_{1,0} = exp does not cancel, so lam = -5
     # solves; the rectangle rule does not check the floor at all.
