@@ -29,6 +29,7 @@ its derivation and its own check before any grid work:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -283,31 +284,47 @@ def _terms(lams: np.ndarray, order: FractionalOrder, u_max: float
     m, n = _reduced(order)
     sign, mag = np.where(lams < 0.0, -1.0, 1.0), np.abs(lams)
     r = sign * mag ** (n / m)  # n is odd
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, m)))))  # log j!
+    a, b, j, log_nk, log_fact_j = _order_tables(m, n)
     log_tol, log_u = math.log(TERM_TOL), math.log(u_max)
-    n_inv = pow(n, -1, m)
     # log X; where X underflows to 0, j log X is 0 at j = 0 and -inf past it.
     x = np.abs(r) * u_max
     log_x = np.log(x, out=np.full(x.shape, -np.inf), where=x > 0.0)
     log_mag = np.log(mag)
 
-    def log_bound(k, log_gamma, eig):
-        """log of the bound per (term, eigenvalue) of the eigenvalues in the
-        slice eig; 0 for log_gamma drops 1/Gamma."""
-        a, j = (k / n)[:, None], ((-k * n_inv) % m)[:, None]
-        return ((np.log(n / k)[:, None] - log_gamma + a * log_u - log_fact[j])
-                + (k / m)[:, None] * log_mag[eig]
-                + np.where(j > 0, np.maximum(j, 1) * log_x[eig], 0.0))
+    def log_bound(c, log_gamma, eig):
+        """log of the bound per (term, eigenvalue) of the candidates c and
+        the eigenvalues in the slice eig; 0 for log_gamma drops 1/Gamma."""
+        j_c = j[c][:, None]
+        return ((log_nk[c][:, None] - log_gamma + a[c][:, None] * log_u
+                 - log_fact_j[c][:, None])
+                + b[c][:, None] * log_mag[eig]
+                + np.where(j_c > 0, np.maximum(j_c, 1) * log_x[eig], 0.0))
 
-    k = np.arange(1, n)
+    c = slice(None)  # the candidates k = c + 1
     if lams.size:  # the screen; its margin covers the rounding of the two sums' orders
         top = int(mag.argmax())
-        k = k[log_bound(k, 0.0, slice(top, top + 1))[:, 0] >= log_tol - 1e-9]
-    log_gamma = np.array(list(map(math.lgamma, (k / n).tolist())))  # log Gamma(k/n)
-    kept = (log_bound(k, log_gamma[:, None], slice(None)) >= log_tol).any(axis=1)
-    k, log_gamma = k[kept], log_gamma[kept]
-    coef = sign ** k[:, None] * mag ** (k[:, None] / m) / np.exp(log_gamma[:, None])
-    return m, r, k / n, (-k * n_inv) % m, coef
+        c = np.flatnonzero(log_bound(c, 0.0, slice(top, top + 1))[:, 0] >= log_tol - 1e-9)
+    log_gamma = np.array(list(map(math.lgamma, a[c].tolist())))  # log Gamma(k/n)
+    kept = (log_bound(c, log_gamma[:, None], slice(None)) >= log_tol).any(axis=1)
+    c, log_gamma = np.arange(n - 1)[c][kept], log_gamma[kept]
+    coef = sign ** (c + 1)[:, None] * mag ** b[c][:, None] / np.exp(log_gamma[:, None])
+    return m, r, a[c], j[c], coef
+
+
+@functools.lru_cache(maxsize=8)
+def _order_tables(m: int, n: int) -> tuple[np.ndarray, ...]:
+    """_terms' tables of the candidates k = 1, ..., n - 1, which depend on
+    the order alone: a = k/n, k/m, j = j_k, log(n/k) and log j_k!.  Each
+    is n - 1 long (about 8 MB for the five at n = 2 * 10^5 + 1, the most
+    approximate_order gives), so few orders are kept.  The arrays are
+    read-only: they are shared through the cache."""
+    k = np.arange(1, n)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, m)))))  # log j!
+    j = (-k * pow(n, -1, m)) % m
+    tables = (k / n, k / m, j, np.log(n / k), log_fact[j])
+    for t in tables:
+        t.setflags(write=False)
+    return tables
 
 
 def _jacobi_integral(ru: np.ndarray, m: int, j: int, a: float,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,16 @@ ML_TAIL_TOL = 1e-16
 ML_BLOCK_ELEMENTS = 2 ** 14
 #: Most terms of one point's series (read at each call, so tests can patch it).
 ML_MAX_TERMS = 200_000
+#: Most Gamma-table entries, summed over its tables, that mittag_leffler
+#: keeps across calls: 2^18 holds the table of one series that runs to
+#: ML_MAX_TERMS terms (doubled to 262 144 entries, about 25 MB as three
+#: lists of floats).  The least recently used tables go first, and a
+#: table larger than the bound is not kept.
+_ML_TABLE_ENTRIES = 2 ** 18
+#: (alpha, beta) -> (lg, sign for z > 0, sign for z < 0), least recently
+#: used first.  A kept table is never grown: a call grows its own copy.
+_tables: OrderedDict = OrderedDict()
+_tables_lock = threading.Lock()
 
 
 def exp_section(x, m: int, j) -> np.ndarray:
@@ -174,10 +186,11 @@ def mittag_leffler(params: MLParams, z: float | np.ndarray) -> float | np.ndarra
 
     z is a scalar (returns a float) or an array (returns one of its
     shape).  A non-finite z, alpha or beta raises DomainError before any
-    series work.  The terms' Gamma values are tabled once per call:
-    lg[k] = log|Gamma(alpha k + beta)|, +inf at a pole, where 1/Gamma is
-    0, and sign[k], the sign of Gamma, kept as is for z > 0 and times
-    (-1)^k for z < 0.  Each term of a point z != 0 is then
+    series work.  The terms' Gamma values are tabled once per (alpha,
+    beta) and kept across calls (_table, _keep): lg[k] =
+    log|Gamma(alpha k + beta)|, +inf at a pole, where 1/Gamma is 0, and
+    sign[k], the sign of Gamma, kept as is for z > 0 and times (-1)^k for
+    z < 0.  Each term of a point z != 0 is then
     sign[k] * exp(k log|z| - lg[k]), summed in order until two
     consecutive terms are below ML_TAIL_TOL and shrinking, a pole's zero
     term not counting; z = 0 gives 1/Gamma(beta).  A term that overflows
@@ -191,11 +204,12 @@ def mittag_leffler(params: MLParams, z: float | np.ndarray) -> float | np.ndarra
     window of points is summed alone first: its term magnitudes bound
     every other point's, so its term count n covers the window and no
     term up to n overflows.  The block is as much of the window as holds
-    at most ML_BLOCK_ELEMENTS terms, and math.fsum sums each point's terms
-    up to its stop.  A point that does not stop within n terms is summed
-    alone, and so is every point of a window whose largest |z| fails, its
-    sum included: that window raises at its first failing point without
-    summing the points past it.
+    at most ML_BLOCK_ELEMENTS terms.  _ml_block sums all its points at
+    once and returns a point's sum only where it is certified to be
+    math.fsum's; any other point takes math.fsum.  A point that does not
+    stop within n terms is summed alone, and so is every point of a
+    window whose largest |z| fails, its sum included: that window raises
+    at its first failing point without summing the points past it.
 
     The sum is exact, so the error is the terms' own rounding, about
     2^-52 sum_k |t_k|; each np.exp term is within 1 ulp of math.exp's.
@@ -216,24 +230,61 @@ def mittag_leffler(params: MLParams, z: float | np.ndarray) -> float | np.ndarra
     finite = np.isfinite(zs)
     if not finite.all():
         raise DomainError(f"z must be finite, got {zs[~finite][0]}")
-    table: tuple[list[float], list[float], list[float]] = ([], [], [])
-    if zs.ndim == 0:
-        return _ml_point(params, float(zs), table)
-    flat = zs.ravel()
-    out = np.empty(flat.size)
-    # A short first block: where an early point fails, the call raises
-    # without summing the far end of the array first.
-    start, rows = 0, 16
-    while start < flat.size:
-        rows, n = _ml_span(params, flat[start:start + rows], table)
-        block = flat[start:start + rows]
-        if n:
-            out[start:start + rows] = _ml_block(params, block, n, table)
-            rows = max(1, ML_BLOCK_ELEMENTS // n)  # the next block's window
-        else:
-            out[start:start + rows] = [_ml_point(params, zi, table) for zi in block.tolist()]
-        start += block.size
-    return out.reshape(zs.shape)
+    table = _table(params)
+    try:
+        if zs.ndim == 0:
+            return _ml_point(params, float(zs), table)
+        flat = zs.ravel()
+        out = np.empty(flat.size)
+        # A short first block: where an early point fails, the call raises
+        # without summing the far end of the array first.
+        start, rows = 0, 16
+        while start < flat.size:
+            rows, n = _ml_span(params, flat[start:start + rows], table)
+            block = flat[start:start + rows]
+            if n:
+                out[start:start + rows] = _ml_block(params, block, n, table)
+                rows = max(1, ML_BLOCK_ELEMENTS // n)  # the next block's window
+            else:
+                out[start:start + rows] = [_ml_point(params, zi, table)
+                                           for zi in block.tolist()]
+            start += block.size
+        return out.reshape(zs.shape)
+    finally:
+        _keep(params, table)
+
+
+def _table(params: MLParams) -> tuple[list[float], list[float], list[float]]:
+    """A copy of the Gamma table kept for (alpha, beta), or an empty one:
+    the call grows its own copy, so no call reads a table that another
+    grows."""
+    key = (params.alpha, params.beta)
+    with _tables_lock:
+        kept = _tables.get(key)
+        if kept is None:
+            return [], [], []
+        _tables.move_to_end(key)
+    lg, pos, neg = kept
+    return list(lg), list(pos), list(neg)
+
+
+def _keep(params: MLParams, table: tuple) -> None:
+    """Keep a call's table for (alpha, beta) where it is longer than the
+    one kept, then drop the least recently used tables until at most
+    _ML_TABLE_ENTRIES entries are kept.  A table whose three lists differ
+    in length, as an interrupt inside _grow can leave them, is not kept."""
+    key, size = (params.alpha, params.beta), len(table[0])
+    if not 0 < size <= _ML_TABLE_ENTRIES or not size == len(table[1]) == len(table[2]):
+        return
+    with _tables_lock:
+        kept = _tables.get(key)
+        if kept is not None and len(kept[0]) >= size:
+            return
+        _tables[key] = table
+        _tables.move_to_end(key)
+        total = sum(len(lg) for lg, _, _ in _tables.values())
+        while total > _ML_TABLE_ENTRIES:
+            total -= len(_tables.popitem(last=False)[1][0])
 
 
 def _ml_span(params: MLParams, window: np.ndarray, table: tuple) -> tuple[int, int]:
@@ -259,10 +310,18 @@ def _ml_span(params: MLParams, window: np.ndarray, table: tuple) -> tuple[int, i
     return min(window.size, max(1, ML_BLOCK_ELEMENTS // len(terms))), len(terms)
 
 
-def _ml_block(params: MLParams, block: np.ndarray, n: int, table: tuple) -> list[float]:
+def _ml_block(params: MLParams, block: np.ndarray, n: int, table: tuple) -> np.ndarray:
     """The values of a block whose points' terms are bounded by a series
-    that stops within n terms, their terms and stops from _ml_magnitudes."""
-    zl = block.tolist()
+    that stops within n terms, their terms and stops from _ml_magnitudes.
+
+    Each row's signed terms, zeroed past its stop, are summed at once by
+    _certified_sums.  A row takes that sum where it is certified to be
+    math.fsum's and its rough rounding bound passes; the other rows take
+    the per-point code in index order, so the first failing point raises
+    as a loop over the points would: z = 0 and rows with no stop within n
+    terms go to _ml_point, and every other row to math.fsum and, past the
+    rough bound, to _ml_sum's exact check.
+    """
     abs_z = np.abs(block)
     abs_z[abs_z == 0.0] = 1.0  # a zero is summed alone below, its row unread
     # Only a zero's row can overflow: the series _ml_span summed bounds the rest.
@@ -271,21 +330,86 @@ def _ml_block(params: MLParams, block: np.ndarray, n: int, table: tuple) -> list
     # too, is at least the exact one to within n ulps: a row below half
     # the check's limit passes it, and only the others take an exact fsum.
     # The largest |z|, whose sum _ml_span checked, bounds these sums.
-    rough = (mag.sum(axis=1) * 2.0 ** -52).tolist()
+    rough = mag.sum(axis=1) * 2.0 ** -52
     # Sign the terms in place; the magnitudes are not needed past here.
     pos, neg = (np.array(column[:n]) for column in table[1:])
     mag *= np.where(block[:, None] < 0.0, neg, pos)
-    values = []
-    for zi, row, end, bound in zip(zl, mag, ends, rough):
-        if not (zi and end):  # z = 0, or no stop within n terms
-            values.append(_ml_point(params, zi, table))
+    ends[block == 0.0] = 0  # a zero's row is summed alone
+    mag[np.arange(n) >= ends[:, None]] = 0.0
+    values, certified = _certified_sums(mag)
+    alone = ~certified | (rough > 0.5 * ML_ROUNDING_TOL * np.maximum(1.0, np.abs(values)))
+    for i in np.flatnonzero(alone).tolist():
+        zi, end = float(block[i]), int(ends[i])
+        if not end:  # z = 0, or no stop within n terms
+            values[i] = _ml_point(params, zi, table)
             continue
-        terms = row[:end].tolist()
+        terms = mag[i, :end].tolist()
         result = math.fsum(terms)
-        if bound > 0.5 * ML_ROUNDING_TOL * max(1.0, abs(result)):
+        if rough[i] > 0.5 * ML_ROUNDING_TOL * max(1.0, abs(result)):
             result = _ml_sum(params, zi, terms)
-        values.append(result)
+        values[i] = result
     return values
+
+
+#: _certified_sums certifies no row whose largest |term| times its term
+#: count reaches this.  Below it no partial sum, math.fsum's or the
+#: cascade's, can pass double range: each is within a few ulps of a sum
+#: of some of the terms.
+_CERTIFIED_MAGNITUDE = 2.0 ** 1020
+
+
+def _certified_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(res, certified) for the rows of terms, at least one column wide:
+    res[i] is row i's sum, and certified[i] proves it is the correctly
+    rounded exact sum, which math.fsum returns.
+
+    The rows are summed by a pairwise cascade of error-free TwoSums
+    (Knuth): at each level the first half of the columns is added to the
+    second, and every rounding error e = x + y - fl(x + y) is kept, so the
+    row's exact sum is p + sum(e), p the cascade's last sum (Ogita, Rump &
+    Oishi, SIAM J. Sci. Comput. 26, 2005).  res = fl(p + s), s = sum(e)
+    in plain floats, level by level, whose error from the exact sum(e),
+    in any order of addition, is below
+    gamma_N sum|e|, gamma_N = N u / (1 - N u), u = 2^-53, N the term
+    count.  With r = p + s - res exactly (TwoSum), |exact - res| is below
+    |r| + d, d = 2 gamma_N sum|e|, and where that is below half the
+    spacing of |res| the exact sum rounds to res.  Never certified: res =
+    0, whose sign fsum takes from its own order, and every subnormal res,
+    as half their spacing rounds to 0; a non-finite res, whose spacing is
+    NaN; a power of two |res|, whose lower neighbour is half as far; and a
+    row whose largest |term| times N reaches _CERTIFIED_MAGNITUDE, where
+    fsum may overflow.
+    """
+    rows, width = terms.shape
+    gamma = width * 2.0 ** -53 / (1.0 - width * 2.0 ** -53)
+    # Column-major, so each half of a level is one contiguous block.
+    level = np.ascontiguousarray(terms.T)
+    s, size = np.zeros(rows), np.zeros(rows)  # sum(e) and sum|e|, level by level
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounded = np.maximum(level.max(axis=0), -level.min(axis=0)) * width < _CERTIFIED_MAGNITUDE
+        while width > 1:
+            half, odd = width // 2, width % 2
+            x, y = level[:half], level[half:2 * half]
+            sums = np.empty((half + odd, rows))
+            total = np.add(x, y, out=sums[:half])
+            back = total - x
+            err = total - back
+            np.subtract(x, err, out=err)
+            np.subtract(y, back, out=back)
+            err += back  # (x - (total - back)) + (y - back)
+            s += err.sum(axis=0)
+            size += np.abs(err, out=err).sum(axis=0)
+            if odd:  # the last column joins the next level
+                sums[half] = level[width - 1]
+            level, width = sums, half + odd
+        p = level[0]
+        res = p + s
+        back = res - p
+        r = (p - (res - back)) + (s - back)
+        bound = np.abs(r) + 2.0 * gamma * size
+        certified = ((bound < 0.5 * np.spacing(np.abs(res))) & bounded
+                     & (np.abs(np.frexp(res)[0]) != 0.5))
+    return res, certified
 
 
 def _ml_magnitudes(params: MLParams, log_z: np.ndarray, n: int, table: tuple) -> tuple:
@@ -306,8 +430,7 @@ def _ml_magnitudes(params: MLParams, log_z: np.ndarray, n: int, table: tuple) ->
         np.exp(mag, out=mag)
     stops = np.zeros(mag.shape, dtype=bool)
     stops[:, 1:] = (mag[:, 1:] <= ML_TAIL_TOL) & (mag[:, 1:] <= mag[:, :-1]) & (lg[1:] != math.inf)
-    ends = np.where(stops.any(axis=1), stops.argmax(axis=1) + 1, 0)
-    return mag, ends.tolist()
+    return mag, np.where(stops.any(axis=1), stops.argmax(axis=1) + 1, 0)
 
 
 #: log|Gamma| tabled where Gamma overflows or underflows to 0 off a pole:
@@ -389,7 +512,8 @@ def _ml_terms(params: MLParams, z: float, table: tuple) -> list[float] | None:
         n = 0
         while n < ML_MAX_TERMS:
             n = min(max(64, 2 * n), ML_MAX_TERMS)
-            mag, (end,) = _ml_magnitudes(params, log_z, n, table)
+            mag, ends = _ml_magnitudes(params, log_z, n, table)
+            end = int(ends[0])
             mag = mag[0, :end or n]
             over = mag == math.inf
             if over.any():

@@ -41,6 +41,7 @@ from fraclode.solver import (
     TERM_TOL,
     _fft_size,
     _modes,
+    _order_tables,
     _rect_lattice,
     _step_count,
     _step_grid,
@@ -781,6 +782,26 @@ def test_terms_keep_what_a_per_k_loop_keeps_at_large_q():
     # screen drops all but a few hundred of the 100002 candidates before
     # any log Gamma is taken.
     _check_terms_against_loop(30001, 100003, [-5.0, -0.3, 2.0], (1.01,))
+
+
+def test_order_tables_are_kept_read_only_per_order():
+    # _terms' order-only tables are cached per (m, n), shared and
+    # read-only; a warm call, after calls at other orders, returns the
+    # terms of a cold one bit for bit, in arrays of its own.
+    order = approximate_order(1999 / 2003, tol=1e-12)
+    lams = np.array([-2.0, 0.7, 3.0])
+    _order_tables.cache_clear()
+    cold = _terms(lams, order, 1.01)
+    tables = _order_tables(1999, 2003)
+    assert _order_tables(1999, 2003) is tables
+    assert all(len(t) == 2002 and not t.flags.writeable for t in tables)
+    with pytest.raises(ValueError):
+        tables[0][0] = 1.0
+    for other in (ORDER_13, ORDER_37, approximate_order(199 / 203, tol=1e-12)):
+        _terms(lams, other, 1.01)
+    warm = _terms(lams, order, 1.01)
+    assert warm[0] == cold[0] and all(np.array_equal(w, c) for w, c in zip(warm[1:], cold[1:]))
+    assert all(t.flags.writeable for t in warm[1:])
 
 
 @pytest.mark.parametrize("lam", [1e-200, -1e-200])

@@ -4,7 +4,11 @@ series."""
 import json
 import math
 import pathlib
+import sys
+import threading
+import time
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -689,3 +693,248 @@ def test_ml_params_validation():
 def test_ml_params_reject_non_finite(alpha, beta):
     with pytest.raises(DomainError, match="alpha and beta must be finite"):
         MLParams(alpha=alpha, beta=beta)
+
+
+# ---------------------------------------------------------------- certified block sums
+
+_MAX = sys.float_info.max
+
+
+@st.composite
+def _sum_row(draw):
+    """One row of terms of one of six kinds: mixed signs and zeros, large
+    terms cancelling in pairs, a Mittag-Leffler series at beta <= 0 with
+    its poles' zero terms, a sum on or next to a rounding midpoint, a sum
+    on or next to a power of two, and terms near double range, where fsum
+    may overflow."""
+    kind = draw(st.sampled_from(["mixed", "pairs", "poles", "tie", "power", "overflow"]))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if kind == "mixed":
+        row = draw(st.lists(st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+            st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-80, 80))), max_size=70))
+        if row and draw(st.booleans()):  # cancel the row down to a small remainder
+            row.append(-math.fsum(row) + draw(st.floats(-1e-12, 1e-12)))
+        return row
+    if kind == "pairs":  # large terms that cancel in pairs around small ones
+        big = draw(st.lists(st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(20, 70)),
+                            min_size=1, max_size=3))
+        small = draw(st.lists(st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-130, 0)),
+                              min_size=1, max_size=6))
+        return draw(st.permutations([sign * b for b in big] + small + [-sign * b for b in big]))
+    if kind == "poles":
+        alpha = draw(st.sampled_from([0.25, 1 / 3, 0.5, 1.0]))
+        beta = draw(st.sampled_from([-2.0, -1.0, -0.5, 0.0]))
+        z = draw(st.floats(-3.0, 3.0))
+        row = []
+        for k in range(draw(st.integers(2, 60))):
+            try:
+                row.append(series_term(z, k, alpha * k + beta))
+            except OverflowError:  # 1/Gamma past double range
+                break
+        return row
+    # x: a power of two, a float of two significant bits, or any float
+    e = draw(st.integers(-900, 900))
+    x = math.ldexp(draw(st.sampled_from([0.5, 0.75, draw(st.floats(0.5, 1.0, exclude_max=True))])), e)
+    nudge = draw(st.sampled_from([0.0, 1.0, -1.0])) * math.ldexp(1.0, e - draw(st.integers(55, 120)))
+    if kind == "tie":  # x plus half an ulp, split in two, nudged or not
+        half = math.ulp(x) / 2
+        row = [x, half / 2, half / 2, nudge]
+    elif kind == "power":  # 2^e built from parts, or a neighbour of it
+        p = math.ldexp(1.0, e)
+        row = draw(st.sampled_from([[p, nudge], [p / 2, p / 2, nudge], [1.5 * p, -p / 2, nudge],
+                                    [p - math.ulp(p / 2) / 2, nudge], [p + math.ulp(p), -nudge]]))
+    else:  # "overflow"
+        row = draw(st.sampled_from([[_MAX, _MAX, -_MAX], [_MAX, 2.0 ** 970, -_MAX],
+                                    [_MAX, 2.0 ** 969, -_MAX], [1e308, 1e308, -1e308, -1e308],
+                                    [_MAX / 2, _MAX / 4, x], [2.0 ** 1019, -(2.0 ** 1018), x]]))
+    return [sign * t for t in draw(st.permutations(row))]
+
+
+@given(rows=st.lists(_sum_row(), min_size=1, max_size=8))
+@settings(max_examples=400, deadline=None)
+def test_certified_block_sums_are_fsum_bit_for_bit(rows):
+    # A block of rows padded with zeros, as _ml_block zeroes each row
+    # past its stop.  Every certified sum is math.fsum's, the sign of
+    # zero included, and no row where fsum overflows is certified.
+    # Nothing may warn, and the terms are left as they were.
+    width = max(1, *map(len, rows))
+    terms = np.array([row + [0.0] * (width - len(row)) for row in rows])
+    before = terms.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res, certified = specfun._certified_sums(terms)
+    assert np.array_equal(terms, before) and res.shape == certified.shape == (len(rows),)
+    for row, value, ok in zip(rows, res.tolist(), certified.tolist()):
+        try:
+            exact = math.fsum(row)
+        except OverflowError:
+            assert not ok
+            continue
+        if ok:
+            assert value == exact and math.copysign(1.0, value) == math.copysign(1.0, exact)
+
+
+def test_certified_block_sums_reject_ties_powers_of_two_and_zeros():
+    # Each of these rows sums exactly to a value fsum rounds at a tie, to
+    # a power of two, or to zero: none is certified, however exact the
+    # cascade.  A plain row is.
+    x = 1.0 + 2.0 ** -52
+    rows = [[x, 2.0 ** -53, 0.0], [1.5, -0.5, 0.0], [1.0, -1.0, 0.0], [0.25, 0.5, 0.75]]
+    res, certified = specfun._certified_sums(np.array(rows))
+    assert certified.tolist() == [False, False, False, True]
+    assert res[3] == 1.5
+
+
+def test_ml_cancelling_point_inside_a_block_raises():
+    # 14 is the block's largest |z| and sums cleanly at alpha = 1, so -14,
+    # whose series cancels (E_1(14) = 1.2e6 against e^-14), is summed in
+    # the block, where its sum is certified: the rough rounding bound must
+    # still send it to the exact check, which raises.
+    params = MLParams(alpha=1.0)
+    zs = [0.5, 14.0, 2.0, -14.0, 1.0]
+    terms = specfun._ml_terms(params, -14.0, ([], [], []))
+    assert specfun._certified_sums(np.array([terms]))[1].all()
+    got = _array_outcome(params, zs)
+    _same_outcome(per_point_outcome(params, zs), got)
+    assert got[0] is NonConvergenceError and "cancels" in got[1]
+
+
+@pytest.mark.parametrize("alpha", [1 / 3, 3 / 7, 199 / 203])
+def test_ml_long_grid_sums_without_a_per_point_fsum(monkeypatch, alpha):
+    # The long-grid oracle's z = -2 u^alpha, u = 1e-4 k, k <= 10^4: every
+    # point's sum is certified, so math.fsum runs only in each window's
+    # _ml_sum of its largest |z| (twice: the sum and the magnitude sum),
+    # not once per point.
+    zs = np.array([-2.0 * (1e-4 * k) ** alpha for k in range(1, 10_001)])
+    params = MLParams(alpha=alpha)
+    ref = [per_point_ml(params, z) for z in zs[::997].tolist()]
+    windows, sums = [], []
+    span, fsum = specfun._ml_span, math.fsum
+    monkeypatch.setattr(specfun, "_ml_span", lambda *args: windows.append(1) or span(*args))
+    monkeypatch.setattr(specfun.math, "fsum", lambda terms: sums.append(1) or fsum(terms))
+    got = mittag_leffler(params, zs)
+    monkeypatch.undo()
+    assert 0 < len(sums) <= 2 * len(windows) < zs.size / 50
+    assert np.array_equal(got[::997], ref)
+
+
+# ---------------------------------------------------------------- the Gamma-table cache
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """An empty table cache for the test, the real one restored after."""
+    fresh = OrderedDict()
+    monkeypatch.setattr(specfun, "_tables", fresh)
+    return fresh
+
+
+def _grown(params, size):
+    """A table grown from empty to size entries, as one call grows it."""
+    table = ([], [], [])
+    while len(table[0]) < size:
+        specfun._grow(params, table)
+    return table
+
+
+def test_ml_warm_table_gives_the_bits_of_a_cold_one(tables):
+    # The table kept for (0.4, 1) is the one a fresh call grows, and
+    # calls at other (alpha, beta) leave it and the values as they were.
+    params = MLParams(alpha=0.4)
+    zs = np.linspace(-2.0, 6.0, 401)
+    cold = _array_outcome(params, zs)
+    size = len(tables[(0.4, 1.0)][0])
+    assert size >= 128 and tables[(0.4, 1.0)] == _grown(params, size)
+    for other in (MLParams(0.7), MLParams(0.4, 0.5), MLParams(0.5, -1.0), MLParams(0.4, 2.0)):
+        mittag_leffler(other, np.linspace(-1.0, 9.0, 60))
+    assert list(tables)[0] == (0.4, 1.0) and tables[(0.4, 1.0)] == _grown(params, size)
+    warm = _array_outcome(params, zs)
+    _same_outcome(cold, warm)
+    _same_outcome(per_point_outcome(params, zs.tolist()), warm)
+    assert list(tables)[-1] == (0.4, 1.0)  # a hit makes it the most recent
+
+
+def test_ml_warm_table_after_a_budget_patch(tables, monkeypatch):
+    # The table does not depend on ML_MAX_TERMS: a table grown under the
+    # default budget serves a call under a small one, and a small table a
+    # call under the default, each with the bits and errors of a cold call.
+    params = MLParams(alpha=0.5)
+    zs = [1.0, 8.0, -3.0, 20.0]  # z = 20 needs more than 70 terms
+    for budget in (specfun.ML_MAX_TERMS, 70, specfun.ML_MAX_TERMS):
+        monkeypatch.setattr(specfun, "ML_MAX_TERMS", budget)
+        warm = _array_outcome(params, zs)
+        tables.clear()
+        cold = _array_outcome(params, zs)
+        _same_outcome(cold, warm)
+        _same_outcome(per_point_outcome(params, zs), warm)
+        assert isinstance(warm, np.ndarray) == (budget > 70)
+
+
+def test_ml_table_cache_keeps_at_most_its_entry_bound(tables, monkeypatch):
+    # With room for 256 entries, four 64-entry tables fill the cache; a
+    # fifth evicts the least recently used, a hit refreshes a table, and
+    # neither a table past the bound nor a torn one is kept.
+    monkeypatch.setattr(specfun, "_ML_TABLE_ENTRIES", 256)
+    for alpha in (0.3, 0.4, 0.5, 0.6):
+        mittag_leffler(MLParams(alpha), 0.5)
+    assert list(tables) == [(0.3, 1.0), (0.4, 1.0), (0.5, 1.0), (0.6, 1.0)]
+    assert [len(t[0]) for t in tables.values()] == [64] * 4
+    mittag_leffler(MLParams(0.7), 0.5)
+    assert list(tables) == [(0.4, 1.0), (0.5, 1.0), (0.6, 1.0), (0.7, 1.0)]
+    mittag_leffler(MLParams(0.4), np.array([0.5, -0.25]))
+    mittag_leffler(MLParams(0.8), 0.5)
+    assert list(tables) == [(0.6, 1.0), (0.7, 1.0), (0.4, 1.0), (0.8, 1.0)]
+    big = mittag_leffler(MLParams(0.6), 20.0)  # a hit whose copy grows past 256
+    assert list(tables) == [(0.7, 1.0), (0.4, 1.0), (0.8, 1.0), (0.6, 1.0)]
+    assert len(tables[(0.6, 1.0)][0]) == 64 and big == per_point_ml(MLParams(0.6), 20.0)
+    assert sum(len(t[0]) for t in tables.values()) <= 256
+    # Lists of unequal length, as an interrupt inside _grow leaves them.
+    specfun._keep(MLParams(0.9), ([0.0] * 64, [1.0] * 64, [1.0] * 63))
+    assert (0.9, 1.0) not in tables
+
+
+@pytest.mark.parametrize("same_alpha", [True, False])
+def test_ml_threads_match_serial_calls(monkeypatch, same_alpha):
+    # Three threads start together on a cold cache, at one alpha or at
+    # three, and each value must be a serial call's.  math.gamma yields
+    # to another thread before each Gamma value, so their tables grow
+    # interleaved: a shared table grown in place takes the threads'
+    # entries in a mixed order and fails here.
+    zs = np.linspace(-2.0, 10.0, 300)
+    gamma = math.gamma
+
+    def yielding_gamma(g):
+        time.sleep(0)
+        return gamma(g)
+
+    for i in range(6):
+        alphas = [0.45 + 0.01 * i + (0.0 if same_alpha else 0.1 * t) for t in range(3)]
+        barrier = threading.Barrier(len(alphas))
+        got = [None] * len(alphas)
+
+        def run(t):
+            barrier.wait()
+            try:
+                got[t] = mittag_leffler(MLParams(alphas[t]), zs)
+            except Exception as exc:  # a race may raise anything; the check below reports it
+                got[t] = exc
+
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(len(alphas))]
+        interval = sys.getswitchinterval()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(specfun, "_tables", OrderedDict())
+            mp.setattr(math, "gamma", yielding_gamma)
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for alpha, value in zip(alphas, got):
+            monkeypatch.setattr(specfun, "_tables", OrderedDict())
+            serial = mittag_leffler(MLParams(alpha), zs)
+            assert isinstance(value, np.ndarray) and np.array_equal(value, serial)
