@@ -284,7 +284,8 @@ def _terms(lams: np.ndarray, order: FractionalOrder, u_max: float
     m, n = _reduced(order)
     sign, mag = np.where(lams < 0.0, -1.0, 1.0), np.abs(lams)
     r = sign * mag ** (n / m)  # n is odd
-    a, b, j, log_nk, log_fact_j = _order_tables(m, n)
+    tables = _order_tables if n <= _KEPT_ORDER_N else _order_tables.__wrapped__
+    a, b, j, log_nk, log_fact_j = tables(m, n)
     log_tol, log_u = math.log(TERM_TOL), math.log(u_max)
     # log X; where X underflows to 0, j log X is 0 at j = 0 and -inf past it.
     x = np.abs(r) * u_max
@@ -311,13 +312,19 @@ def _terms(lams: np.ndarray, order: FractionalOrder, u_max: float
     return m, r, a[c], j[c], coef
 
 
+#: _terms keeps the order tables of the eight most recent orders whose n
+#: is at most this: at most 160 KB for one order's five tables, 1.3 MB
+#: for eight.  A larger order's tables (up to about 8 MB at the
+#: n = 2 * 10^5 + 1 approximate_order may give) are built at each call.
+_KEPT_ORDER_N = 2 ** 12
+
+
 @functools.lru_cache(maxsize=8)
 def _order_tables(m: int, n: int) -> tuple[np.ndarray, ...]:
     """_terms' tables of the candidates k = 1, ..., n - 1, which depend on
-    the order alone: a = k/n, k/m, j = j_k, log(n/k) and log j_k!.  Each
-    is n - 1 long (about 8 MB for the five at n = 2 * 10^5 + 1, the most
-    approximate_order gives), so few orders are kept.  The arrays are
-    read-only: they are shared through the cache."""
+    the order alone: a = k/n, k/m, j = j_k, log(n/k) and log j_k!, each
+    n - 1 long.  The arrays are read-only: they are shared through the
+    cache."""
     k = np.arange(1, n)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, m)))))  # log j!
     j = (-k * pow(n, -1, m)) % m

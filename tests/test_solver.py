@@ -804,6 +804,21 @@ def test_order_tables_are_kept_read_only_per_order():
     assert all(t.flags.writeable for t in warm[1:])
 
 
+def test_order_tables_past_the_kept_size_are_built_per_call(monkeypatch):
+    # An order with n past _KEPT_ORDER_N leaves the cache empty, and its
+    # terms are the bits the kept tables give.
+    order = FractionalOrder(alpha=8191 / 8193, p=4095, q=4096, achieved_error=0.0)
+    lams = np.array([-2.0, 0.7, 3.0])
+    _order_tables.cache_clear()
+    built = _terms(lams, order, 1.01)
+    assert _order_tables.cache_info().currsize == 0
+    monkeypatch.setattr("fraclode.solver._KEPT_ORDER_N", 8193)
+    kept = _terms(lams, order, 1.01)
+    assert _order_tables.cache_info().currsize == 1
+    assert built[0] == kept[0] and all(np.array_equal(b, k) for b, k in zip(built[1:], kept[1:]))
+    _order_tables.cache_clear()
+
+
 @pytest.mark.parametrize("lam", [1e-200, -1e-200])
 def test_underflowed_rate_warns_nowhere(lam):
     # |lam|^3 underflows to a zero rate r at alpha = 1/3; the term screen
