@@ -104,6 +104,10 @@ def _load_json(path: str) -> dict:
         raise SchemaError("<file>", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError("<file>", f"invalid JSON in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError("<file>", f"{path} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("<file>", f"JSON in {path} nests too deeply: {exc}") from exc
     if not isinstance(spec, dict):
         raise SchemaError("<file>", "top-level JSON value must be an object")
     return spec
@@ -179,8 +183,11 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise SchemaError("--out", f"cannot write {path}: {exc}") from exc
 
 
 def cmd_solve(args) -> int:

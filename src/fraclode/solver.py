@@ -67,7 +67,7 @@ MAX_GRID_POINTS = 10 ** 6
 GJ_MIN_NODES = 16
 GJ_MAX_NODES = 256
 #: Most elements of one exp_section call: (time, eigenvalue, node) triples
-#: in _simpson_modes' _jacobi_integral, (section, node, eigenvalue) ones in
+#: in _simpson_modes' _apply_rules, (section, node, eigenvalue) ones in
 #: _rect_modes.
 SECTION_BLOCK_ELEMENTS = 2 ** 13
 #: classical_exponential passes expm blocks of at most this many entries,
@@ -343,26 +343,54 @@ def _jacobi_integral(ru: np.ndarray, m: int, j: int, a: float,
     <= SIMPSON_TOL.  With the factor a, SIMPSON_TOL bounds the error of
     int_0^1 H_{m,j}(r u (1 - v^(1/a))) dv / scale, v = s^a, a per-term
     integral of size at most 1.  Past GJ_MAX_NODES it raises
-    QuadratureFailureError.  Times go through exp_section in blocks of
-    at most SECTION_BLOCK_ELEMENTS (time, eigenvalue, node) triples, each
-    block's integrals written in place into one array.
+    QuadratureFailureError.  The first two rules are applied together
+    (_apply_rules), as every term needs both; each later one alone.
     """
-    prev = None
-    n_nodes = GJ_MIN_NODES
-    while n_nodes <= GJ_MAX_NODES:
-        s, w = gauss_jacobi(a, n_nodes)
-        step = max(1, SECTION_BLOCK_ELEMENTS // (ru.shape[1] * n_nodes))
+    n_nodes = 2 * GJ_MIN_NODES
+    prev, cur = _apply_rules(ru, m, j, [gauss_jacobi(a, GJ_MIN_NODES),
+                                        gauss_jacobi(a, n_nodes)])
+    while a * (np.abs(cur - prev) / scale).max() > SIMPSON_TOL:
+        n_nodes *= 2
+        if n_nodes > GJ_MAX_NODES:
+            raise QuadratureFailureError(
+                f"Gauss–Jacobi rules did not settle to {SIMPSON_TOL:g} within {GJ_MAX_NODES} "
+                f"nodes (a = {a:.6g}, section ({m}, {j}), |r| u = {np.max(np.abs(ru[-1])):.3g})"
+            )
+        prev, (cur,) = cur, _apply_rules(ru, m, j, [gauss_jacobi(a, n_nodes)])
+    return cur
+
+
+def _apply_rules(ru: np.ndarray, m: int, j: int, rules: list) -> list[np.ndarray]:
+    """[sum_l w_l H_{m,j}(ru (1 - s_l)) for each rule (s, w) of rules].
+
+    Where all the rules' (time, eigenvalue, node) triples fit in
+    SECTION_BLOCK_ELEMENTS, one exp_section call takes them all, and each
+    rule's weights apply to its own slice of the node axis by the matmul
+    a call per rule makes: the same dot product over a stride-one row of
+    nodes.  Each section element has the bits it has in any other call
+    (exp_section's stop rule), so each integral has the bits of a call
+    per rule.  Otherwise each rule takes its own calls, in blocks of at
+    most SECTION_BLOCK_ELEMENTS triples: there a rule's calls are full
+    already, and a block shared by the rules would save at most one call
+    for a second matmul in every block.
+    """
+    sizes = [len(s) for s, _ in rules]
+    if ru.size * sum(sizes) <= SECTION_BLOCK_ELEMENTS:
+        rest = 1.0 - np.concatenate([s for s, _ in rules])
+        sections = exp_section(ru[:, :, None] * rest, m, j)
+        out, start = [], 0
+        for (_, w), size in zip(rules, sizes):
+            out.append(sections[..., start:start + size] @ w)
+            start += size
+        return out
+    out = []
+    for s, w in rules:
+        step = max(1, SECTION_BLOCK_ELEMENTS // (ru.shape[1] * len(s)))
         cur = np.empty(ru.shape)
         for i in range(0, len(ru), step):
             cur[i:i + step] = exp_section(ru[i:i + step, :, None] * (1.0 - s), m, j) @ w
-        if prev is not None and a * (np.abs(cur - prev) / scale).max() <= SIMPSON_TOL:
-            return cur
-        prev = cur
-        n_nodes *= 2
-    raise QuadratureFailureError(
-        f"Gauss–Jacobi rules did not settle to {SIMPSON_TOL:g} within {GJ_MAX_NODES} nodes "
-        f"(a = {a:.6g}, section ({m}, {j}), |r| u = {np.max(np.abs(ru[-1])):.3g})"
-    )
+        out.append(cur)
+    return out
 
 
 def _check_range(lams: np.ndarray, order: FractionalOrder, u_max: float) -> None:

@@ -201,15 +201,19 @@ def mittag_leffler(params: MLParams, z: float | np.ndarray) -> float | np.ndarra
     One former, _ml_magnitudes, forms every term, k log|z| - lg[k]
     (log|z| from math.log) exponentiated by np.exp, and finds every stop.
     An array is summed a block of points at a time.  The largest |z| of a
-    window of points is summed alone first: its term magnitudes bound
+    window of points is formed alone first, from twice the previous
+    window's term count on (64 at first): its term magnitudes bound
     every other point's, so its term count n covers the window and no
     term up to n overflows.  The block is as much of the window as holds
     at most ML_BLOCK_ELEMENTS terms.  _ml_block sums all its points at
     once and returns a point's sum only where it is certified to be
-    math.fsum's; any other point takes math.fsum.  A point that does not
-    stop within n terms is summed alone, and so is every point of a
-    window whose largest |z| fails, its sum included: that window raises
-    at its first failing point without summing the points past it.
+    math.fsum's; any other point takes math.fsum, in index order, and
+    the first that fails raises.  A point that does not stop within n
+    terms is summed alone, and so is every point of a window whose
+    largest |z| does not stop or has a term or a magnitude sum past
+    double range: that window raises at its first failing point without
+    summing the points past it.  A window whose largest |z| only cancels
+    is summed as a block.
 
     The sum is exact, so the error is the terms' own rounding, about
     2^-52 sum_k |t_k|; each np.exp term is within 1 ulp of math.exp's.
@@ -238,13 +242,15 @@ def mittag_leffler(params: MLParams, z: float | np.ndarray) -> float | np.ndarra
         out = np.empty(flat.size)
         # A short first block: where an early point fails, the call raises
         # without summing the far end of the array first.
-        start, rows = 0, 16
+        start, rows, probe = 0, 16, 64
         while start < flat.size:
-            rows, n = _ml_span(params, flat[start:start + rows], table)
+            rows, n = _ml_span(params, flat[start:start + rows], table, probe)
             block = flat[start:start + rows]
             if n:
                 out[start:start + rows] = _ml_block(params, block, n, table)
-                rows = max(1, ML_BLOCK_ELEMENTS // n)  # the next block's window
+                # The next window, and its probe: twice this window's term
+                # count, which along a sorted grid covers the next window's.
+                rows, probe = max(1, ML_BLOCK_ELEMENTS // n), max(64, 2 * n)
             else:
                 out[start:start + rows] = [_ml_point(params, zi, table)
                                            for zi in block.tolist()]
@@ -287,25 +293,30 @@ def _keep(params: MLParams, table: tuple) -> None:
             total -= len(_tables.popitem(last=False)[1][0])
 
 
-def _ml_span(params: MLParams, window: np.ndarray, table: tuple) -> tuple[int, int]:
+def _ml_span(params: MLParams, window: np.ndarray, table: tuple,
+             probe: int) -> tuple[int, int]:
     """(rows, n): the block is the first rows points of window, and n is
     the term count of the window's largest |z|, which bounds every point's
-    terms, with rows * n <= ML_BLOCK_ELEMENTS unless rows = 1.  n = 0
-    where that point is 0, outside the domain or fails, its sum included:
-    the window is then summed a point at a time, which raises at its first
-    failing point without summing the rest."""
+    terms, with rows * n <= ML_BLOCK_ELEMENTS unless rows = 1.  That
+    point's terms are formed probe at a time first (_ml_terms).  n = 0
+    where that point is 0, outside the domain or does not stop, or where a
+    term or its sum passes double range: the window is then summed a point
+    at a time, which raises at its first failing point without summing the
+    rest.  A sum that only cancels keeps its n: _ml_block raises at the
+    block's first failing point, in index order, as that loop would."""
     abs_z = np.abs(window)
     big = float(abs_z.max())
     if big == 0.0 or big > ML_MAX_ABS_Z:
         return window.size, 0
     z = float(window[int(abs_z.argmax())])
     try:
-        terms = _ml_terms(params, z, table)
-        if terms is not None:
-            _ml_sum(params, z, terms)
-    except NonConvergenceError:
-        terms = None
-    if terms is None:  # the window fails at or before its largest |z|
+        terms = _ml_terms(params, z, table, probe)
+        if terms is None:
+            return window.size, 0
+        # Past double range math.fsum raises OverflowError, which _ml_block
+        # would let escape; below it no sum of the window's points passes it.
+        math.fsum(map(abs, terms))
+    except (NonConvergenceError, OverflowError):
         return window.size, 0
     return min(window.size, max(1, ML_BLOCK_ELEMENTS // len(terms))), len(terms)
 
@@ -495,11 +506,13 @@ def _ml_sum(params: MLParams, z: float, terms: list[float]) -> float:
     return result
 
 
-def _ml_terms(params: MLParams, z: float, table: tuple) -> list[float] | None:
+def _ml_terms(params: MLParams, z: float, table: tuple,
+              probe: int = 64) -> list[float] | None:
     """The series' terms up to and including the first that stops it, or
     None if ML_MAX_TERMS is reached first; grows table as needed.  The
     magnitudes come from _ml_magnitudes on the one point, over its first
-    64, 128, 256, ... terms, until the first stop or the first overflow."""
+    probe, 2 probe, 4 probe, ... terms, until the first stop or the first
+    overflow."""
     k = 0  # the term that overflows
     try:
         if z == 0.0:  # 1/Gamma(beta), then a zero term that stops the series
@@ -509,9 +522,8 @@ def _ml_terms(params: MLParams, z: float, table: tuple) -> list[float] | None:
                 raise OverflowError
             return [1.0 / denom, 0.0] if ML_MAX_TERMS > 1 else None
         log_z = np.array([math.log(abs(z))])
-        n = 0
-        while n < ML_MAX_TERMS:
-            n = min(max(64, 2 * n), ML_MAX_TERMS)
+        n = min(probe, ML_MAX_TERMS)
+        while True:
             mag, ends = _ml_magnitudes(params, log_z, n, table)
             end = int(ends[0])
             mag = mag[0, :end or n]
@@ -521,9 +533,11 @@ def _ml_terms(params: MLParams, z: float, table: tuple) -> list[float] | None:
                 raise OverflowError
             if end:
                 return (mag * (table[2] if z < 0.0 else table[1])[:end]).tolist()
+            if n == ML_MAX_TERMS:
+                return None
+            n = min(2 * n, ML_MAX_TERMS)
     except OverflowError as exc:
         raise NonConvergenceError(
             f"series term k={k} for E_({params.alpha},{params.beta})({z}) "
             f"overflowed double range"
         ) from exc
-    return None

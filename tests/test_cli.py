@@ -515,11 +515,39 @@ def test_stability_of_a_decaying_spiral_exits_zero(tmp_path):
     assert result.stdout.strip() == "AsymptoticallyStable"
 
 
-def test_invalid_json_is_schema_error(tmp_path):
+def test_invalid_json_is_schema_error(tmp_path, capsys):
+    from fraclode.cli import main
+
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     result = run_cli("solve", "--config", str(path), "--out", str(tmp_path / "o.csv"))
     assert result.returncode == 2
+    # Bytes that are not UTF-8, and arrays nested past any recursion
+    # limit: in process, so an escaping error fails the test.
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    for name in ("binary.json", "deep.json"):
+        spec = str(tmp_path / name)
+        for argv in (["solve", "--config", spec, "--out", str(tmp_path / "o.csv")],
+                     ["table", "--config", spec, "--out", str(tmp_path / "o.csv")],
+                     ["stability", "--config", spec]):
+            assert main(argv) == 2
+            assert "schema error: field '<file>'" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("solve", BASIC_SPEC),
+    ("table", {"a": -2.0, "alphas": [1 / 3, 1.0], "interval": [0.01, 0.1], "h": 0.01})])
+def test_unwritable_out_is_schema_error(tmp_path, capsys, command, payload):
+    # An --out in a missing directory, or naming a directory, is reported
+    # like an unreadable --config: a schema error naming the flag, exit 2.
+    from fraclode.cli import main
+
+    spec = write_spec(tmp_path, "spec.json", payload)
+    for out in (tmp_path / "missing" / "o.csv", tmp_path):
+        assert main([command, "--config", spec, "--out", str(out)]) == 2
+        assert f"schema error: field '--out': cannot write {out}: " in capsys.readouterr().err
 
 
 def test_solve_method_defaults_to_simpson(tmp_path):

@@ -35,11 +35,17 @@ from fraclode import (
     solve_scalar_rect,
 )
 from fraclode.linalg import eig_real_simple, expm
+from fraclode.quadrature import gauss_jacobi
 from fraclode.solver import (
+    GJ_MAX_NODES,
+    GJ_MIN_NODES,
     MAX_GRID_POINTS,
     MAX_LATTICE_SIZE,
+    SECTION_BLOCK_ELEMENTS,
+    SIMPSON_TOL,
     TERM_TOL,
     _fft_size,
+    _jacobi_integral,
     _modes,
     _order_tables,
     _rect_lattice,
@@ -257,6 +263,61 @@ def _rect_section_loop(lams, order, t0, times):
     full = np.fft.irfft(spectrum, size, axis=0)[:k_max]
     Y += h * full[k_idx - 1] * np.exp(np.outer(h * k_idx, rate))
     return Y
+
+
+def _rule_by_rule(ru, m, j, a, scale):
+    """(I, nodes): _jacobi_integral with one exp_section call per rule and
+    block of SECTION_BLOCK_ELEMENTS triples, and the rule it settled at."""
+    prev, n_nodes = None, GJ_MIN_NODES
+    while n_nodes <= GJ_MAX_NODES:
+        s, w = gauss_jacobi(a, n_nodes)
+        step = max(1, SECTION_BLOCK_ELEMENTS // (ru.shape[1] * n_nodes))
+        cur = np.empty(ru.shape)
+        for i in range(0, len(ru), step):
+            cur[i:i + step] = exp_section(ru[i:i + step, :, None] * (1.0 - s), m, j) @ w
+        if prev is not None and a * (np.abs(cur - prev) / scale).max() <= SIMPSON_TOL:
+            return cur, n_nodes
+        prev, n_nodes = cur, 2 * n_nodes
+    raise AssertionError("the rules did not settle")
+
+
+@pytest.mark.parametrize("lams, alpha, K, settles", [
+    ([-5.0], 1 / 3, 101, {64}), ([-2.0], 199 / 203, 101, {32}),
+    ([-1.7, -0.6, 1.3], 3 / 7, 51, {32}), ([-1.7, -0.6, 1.3], 3 / 7, 1001, {32})])
+def test_rule_pair_matches_a_rule_by_rule_loop_bit_for_bit(lams, alpha, K, settles):
+    # Where both first rules fit one exp_section call they share it; every
+    # term's integral must be the rule-by-rule loop's, bit for bit.  At
+    # lambda = -5, alpha = 1/3 both terms need a third rule of 64 nodes;
+    # at 199/203 each of 25 terms settles at 32.  With three eigenvalues
+    # the weights apply by a matrix-vector product: at K = 51 both rules
+    # share one call, at K = 1001 each rule spans many blocks of its own.
+    lams = np.array(lams)
+    order = approximate_order(alpha, tol=1e-12, q_max=1001)
+    u = (1.01 / K) * np.arange(1, K + 1)
+    m, r, a, j, coef = _terms(lams, order, float(u[-1]))
+    growth = max(0.0, math.cos(math.pi / m))
+    scale = np.exp(np.outer(u, np.abs(r) * np.where(r > 0.0, 1.0, growth)))
+    ru = np.outer(u, r)
+    settled = set()
+    for a_k, j_k in zip(a.tolist(), j.tolist()):
+        want, nodes = _rule_by_rule(ru, m, j_k, a_k, scale)
+        assert np.array_equal(_jacobi_integral(ru, m, j_k, a_k, scale), want)
+        settled.add(nodes)
+    assert settled == settles
+
+
+def test_simpson_makes_one_section_call_per_kept_term(monkeypatch):
+    # At K = 101 both first rules of a term fit in one exp_section call;
+    # the only other call is the j = 0 section of the solution.
+    order = approximate_order(199 / 203, tol=1e-12)
+    grid = 0.01 * np.arange(1, 102)
+    kept = _terms(np.array([-2.0]), order, float(grid[-1]))[2]
+    calls = []
+    section = exp_section
+    monkeypatch.setattr("fraclode.solver.exp_section",
+                        lambda *args: calls.append(1) or section(*args))
+    solve_scalar_quad(-2.0, 1.0, order, 0.0, grid)
+    assert len(kept) > 10 and len(calls) == 1 + len(kept)
 
 
 @pytest.mark.parametrize("alpha", [1 / 3, 1 / 5, 3 / 7, 199 / 203, 1999 / 2003])

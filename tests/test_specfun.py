@@ -803,9 +803,8 @@ def test_ml_cancelling_point_inside_a_block_raises():
 @pytest.mark.parametrize("alpha", [1 / 3, 3 / 7, 199 / 203])
 def test_ml_long_grid_sums_without_a_per_point_fsum(monkeypatch, alpha):
     # The long-grid oracle's z = -2 u^alpha, u = 1e-4 k, k <= 10^4: every
-    # point's sum is certified, so math.fsum runs only in each window's
-    # _ml_sum of its largest |z| (twice: the sum and the magnitude sum),
-    # not once per point.
+    # point's sum is certified, so math.fsum runs only on each window's
+    # largest |z| (its magnitude sum, the range check), not once per point.
     zs = np.array([-2.0 * (1e-4 * k) ** alpha for k in range(1, 10_001)])
     params = MLParams(alpha=alpha)
     ref = [per_point_ml(params, z) for z in zs[::997].tolist()]
@@ -816,6 +815,44 @@ def test_ml_long_grid_sums_without_a_per_point_fsum(monkeypatch, alpha):
     got = mittag_leffler(params, zs)
     monkeypatch.undo()
     assert 0 < len(sums) <= 2 * len(windows) < zs.size / 50
+    assert np.array_equal(got[::997], ref)
+
+
+@pytest.mark.parametrize("alpha", [1 / 3, 3 / 7])
+def test_ml_cancelling_window_is_summed_as_a_block(monkeypatch, alpha):
+    # The stiff rung's z = -5 u^alpha, u = 0.01 k, k <= 101: a window's
+    # largest |z| stops but cancels.  Its window is summed as one block,
+    # which raises the point loop's error at the loop's first failing
+    # point, with no point summed alone.
+    params = MLParams(alpha=alpha)
+    zs = [-5.0 * (0.01 * k) ** alpha for k in range(1, 102)]
+    ref = per_point_outcome(params, zs)
+    points = []
+    point = specfun._ml_point
+    monkeypatch.setattr(specfun, "_ml_point", lambda *args: points.append(1) or point(*args))
+    got = _array_outcome(params, zs)
+    monkeypatch.undo()
+    assert ref[0] is NonConvergenceError and "cancels" in ref[1]
+    _same_outcome(ref, got)
+    assert points == []
+
+
+def test_ml_window_probe_starts_from_the_last_term_count(monkeypatch):
+    # The long-grid z at 1/3: each window's largest |z| is formed from
+    # twice the previous window's term count, which covers it, so the
+    # probe and the block form terms once each per window (from 64 terms
+    # on, 185 formers ran for 60 windows).
+    zs = np.array([-2.0 * (1e-4 * k) ** (1 / 3) for k in range(1, 10_001)])
+    params = MLParams(alpha=1 / 3)
+    ref = [per_point_ml(params, z) for z in zs[::997].tolist()]
+    windows, formers = [], []
+    span, magnitudes = specfun._ml_span, specfun._ml_magnitudes
+    monkeypatch.setattr(specfun, "_ml_span", lambda *args: windows.append(1) or span(*args))
+    monkeypatch.setattr(specfun, "_ml_magnitudes",
+                        lambda *args: formers.append(1) or magnitudes(*args))
+    got = mittag_leffler(params, zs)
+    monkeypatch.undo()
+    assert len(windows) > 50 and len(formers) <= 2 * len(windows)
     assert np.array_equal(got[::997], ref)
 
 
